@@ -353,14 +353,8 @@ Status ChunkCache::evict_one_locked(Shard& s, util::MutexLock& lock,
   // The frame was erased from s.frames above, so this thread owns its
   // buffer exclusively across the unlocked write.
   lock.unlock();
-  std::vector<std::byte> scratch;
-  const DrxFile::EncodedChunk enc = file_->encode_chunk(
-      std::span<const std::byte>(frame.data.get(), chunk_size()), scratch);
-  Status st;
-  {
-    util::MutexLock io(io_mu_);
-    st = file_->write_chunk_encoded(victim, enc);
-  }
+  const WriteBack one{victim, frame.data.get()};
+  const Status st = write_back(std::span<const WriteBack>(&one, 1));
   lock.lock();
   recycle_buffer_locked(s, std::move(frame.data));
   ++s.stats.writebacks;
@@ -493,6 +487,21 @@ void ChunkCache::submit_writes(const std::vector<std::uint64_t>& addresses) {
     pool_->submit(obs::current_op(),
                   [this, address] { return run_write_job(address); });
   }
+}
+
+Status ChunkCache::write_back(std::span<const WriteBack> chunks) {
+  const std::size_t cb = chunk_size();
+  std::vector<std::vector<std::byte>> scratch(chunks.size());
+  std::vector<DrxFile::ChunkWrite> batch;
+  batch.reserve(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    batch.push_back(DrxFile::ChunkWrite{
+        chunks[i].first,
+        file_->encode_chunk(std::span<const std::byte>(chunks[i].second, cb),
+                            scratch[i])});
+  }
+  util::MutexLock io(io_mu_);
+  return file_->write_chunks(batch);
 }
 
 Result<std::span<std::byte>> ChunkCache::pin(std::uint64_t address,
@@ -779,7 +788,6 @@ void ChunkCache::prefetch(std::uint64_t first, std::uint64_t count) {
 
 Status ChunkCache::run_write_job(std::uint64_t address) {
   Shard& s = shard_of(address);
-  const std::size_t cb = chunk_size();
   for (;;) {
     std::shared_ptr<std::byte[]> data;
     std::uint64_t seq = 0;
@@ -795,14 +803,8 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
     // rather than mutating bytes in place, and concurrent writers on
     // other chunks keep streaming through io_mu_ while this worker
     // compresses — codec cost overlaps I/O instead of serializing it.
-    std::vector<std::byte> scratch;
-    const DrxFile::EncodedChunk enc = file_->encode_chunk(
-        std::span<const std::byte>(data.get(), cb), scratch);
-    Status st;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->write_chunk_encoded(address, enc);
-    }
+    const WriteBack one{address, data.get()};
+    const Status st = write_back(std::span<const WriteBack>(&one, 1));
     if (!st.is_ok()) {
       DRX_LOG(kError) << "deferred chunk write-back failed (address " << address
                       << "): " << st.to_string();
@@ -899,27 +901,24 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
 }
 
 Status ChunkCache::flush_shard_sync_locked(Shard& s, util::MutexLock& lock) {
-  // Single-threaded legacy shape: write dirty frames in place. io_mu_ is
-  // taken under the shard lock here, which is safe because no pool
-  // workers exist.
+  // Single-threaded legacy shape: write the dirty frames in place as one
+  // batch. io_mu_ is taken under the shard lock here, which is safe
+  // because no pool workers exist.
   // drx-lint: allow(cache-lock-io) sync mode has no concurrency to stall
   (void)lock;
+  std::vector<WriteBack> batch;
   for (auto& [address, frame] : s.frames) {
-    if (!frame.dirty) continue;
-    ++s.stats.writebacks;
-    obs::registry().counter(kWritebacks).add();
-    Status st;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->write_chunk(
-          address, std::span<const std::byte>(frame.data.get(), chunk_size()));
-    }
-    if (!st.is_ok()) {
-      record_error(st, /*surfaced=*/true);
-      return st;
-    }
-    frame.dirty = false;
+    if (frame.dirty) batch.emplace_back(address, frame.data.get());
   }
+  if (batch.empty()) return Status::ok();
+  s.stats.writebacks += batch.size();
+  obs::registry().counter(kWritebacks).add(batch.size());
+  const Status st = write_back(batch);
+  if (!st.is_ok()) {
+    record_error(st, /*surfaced=*/true);
+    return st;
+  }
+  for (const auto& [address, data] : batch) s.frames.at(address).dirty = false;
   return Status::ok();
 }
 
@@ -930,21 +929,38 @@ Status ChunkCache::flush_shard_sync_locked(Shard& s, util::MutexLock& lock) {
 // site; s.mu is held on entry and on exit.
 Status ChunkCache::flush_shard_async_locked(Shard& s, util::MutexLock& lock)
     DRX_NO_THREAD_SAFETY_ANALYSIS {
-  const std::size_t cb = chunk_size();
+  std::vector<WriteBack> batch;
   for (;;) {
-    auto it =
-        std::find_if(s.frames.begin(), s.frames.end(), [](const auto& kv) {
-          return kv.second.dirty && !kv.second.loading;
-        });
-    if (it == s.frames.end()) break;
-    const std::uint64_t address = it->first;
-    Frame& frame = it->second;  // node-stable; pinned below, so not erased
-    if (frame.pins > 0) {
-      // A pinned writer may be storing into frame.data right now with no
-      // lock held (pin() hands out the raw span); reading the buffer for
-      // the storage write would race with those stores. Park until the
-      // last pin drops, then rescan — the unpin that releases it marks
-      // dirty first, so the frame is still eligible.
+    // Claim up to half the shard per batch — read-ahead's cap — so a
+    // concurrent demand pin() still finds frames it can evict.
+    const std::size_t cap = std::max<std::size_t>(1, s.capacity / 2);
+    batch.clear();
+    std::optional<std::uint64_t> pinned_dirty;
+    for (auto& [address, frame] : s.frames) {
+      if (!frame.dirty || frame.loading) continue;
+      if (frame.pins > 0) {
+        // A pinned writer may be storing into frame.data right now with
+        // no lock held (pin() hands out the raw span); reading the buffer
+        // for the storage write would race with those stores.
+        pinned_dirty = address;
+        continue;
+      }
+      if (batch.size() == cap) break;
+      frame.dirty = false;    // claimed; a later set re-marks it
+      frame.flushing = true;  // new pins wait instead of touching the buffer
+      ++frame.pins;           // holds the frame across the unlocked write
+      if (frame.in_lru) {
+        s.lru.erase(frame.lru_it);
+        frame.in_lru = false;
+      }
+      batch.emplace_back(address, frame.data.get());
+    }
+    if (batch.empty()) {
+      if (!pinned_dirty.has_value()) break;
+      // Only pinned dirty frames are left: park until this one's last pin
+      // drops, then rescan — the unpin that releases it marks dirty
+      // first, so the frame is still eligible.
+      const std::uint64_t address = *pinned_dirty;
       ++s.flush_waiters;
       s.cv.wait(lock, [&s, address] {
         s.mu.assert_held();
@@ -954,42 +970,31 @@ Status ChunkCache::flush_shard_async_locked(Shard& s, util::MutexLock& lock)
       --s.flush_waiters;
       continue;
     }
-    frame.dirty = false;    // claimed; a later set re-marks it
-    frame.flushing = true;  // new pins wait instead of touching the buffer
-    ++frame.pins;           // holds the frame across the unlocked write
-    if (frame.in_lru) {
-      s.lru.erase(frame.lru_it);
-      frame.in_lru = false;
-    }
     // With zero foreign pins and `flushing` blocking new ones, this
-    // thread owns frame.data for WRITING across the unlocked window; the
-    // storage write only READS the buffer, so the frame can stay
+    // thread owns the claimed buffers for WRITING across the unlocked
+    // window; the storage write only READS them, so the frames can stay
     // published — concurrent fast pins read bytes the write-back is
-    // persisting, which is exactly the newest data.
+    // persisting, which is exactly the newest data. Shard lock dropped,
+    // io mutex not yet taken: encode overlaps other workers' storage
+    // traffic (and never blocks readers of this shard).
     lock.unlock();
-    // Shard lock dropped, io mutex not yet taken: encode overlaps other
-    // workers' storage traffic (and never blocks readers of this shard).
-    std::vector<std::byte> scratch;
-    const DrxFile::EncodedChunk enc = file_->encode_chunk(
-        std::span<const std::byte>(frame.data.get(), cb), scratch);
-    Status st;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->write_chunk_encoded(address, enc);
-    }
+    const Status st = write_back(batch);
     lock.lock();
-    ++s.stats.writebacks;
-    obs::registry().counter(kWritebacks).add();
-    frame.flushing = false;
-    if (--frame.pins == 0) {
-      s.lru.push_front(address);
-      frame.lru_it = s.lru.begin();
-      frame.in_lru = true;
+    for (const auto& [address, data] : batch) {
+      Frame& frame = s.frames.at(address);  // pinned above, so not erased
+      ++s.stats.writebacks;
+      obs::registry().counter(kWritebacks).add();
+      frame.flushing = false;
+      if (!st.is_ok()) frame.dirty = true;
+      if (--frame.pins == 0) {
+        s.lru.push_front(address);
+        frame.lru_it = s.lru.begin();
+        frame.in_lru = true;
+      }
+      maybe_publish_locked(s, address, frame);
     }
-    maybe_publish_locked(s, address, frame);
-    s.cv.notify_all();  // wake pins parked on the flushing frame
+    s.cv.notify_all();  // wake pins parked on the flushing frames
     if (!st.is_ok()) {
-      frame.dirty = true;
       record_error(st, /*surfaced=*/true);
       return st;
     }
@@ -1020,7 +1025,12 @@ Status ChunkCache::flush() {
   // A deferred write-back error that no caller has seen yet outranks a
   // direct failure from this flush: it happened first.
   const Status surfaced = take_unsurfaced_error();
-  return surfaced.is_ok() ? direct : surfaced;
+  if (!surfaced.is_ok()) return surfaced;
+  DRX_RETURN_IF_ERROR(direct);
+  // Persist the slot table the write-backs above may have changed; under
+  // io_mu_ so it never races a concurrent write-behind slot update.
+  util::MutexLock io(io_mu_);
+  return file_->flush();
 }
 
 Status ChunkCache::invalidate() {

@@ -205,9 +205,13 @@ class ChunkCache final : public io::PrefetchSink {
 
   /// Barrier + write-back: drains in-flight read-ahead and write-behind,
   /// surfaces the first deferred write error, then writes back every
-  /// dirty frame without evicting. A dirty frame that is still pinned is
-  /// written after its last pin drops (flush waits for it — do not call
-  /// flush() while holding a pin on this cache).
+  /// dirty frame without evicting — each shard's dirty frames as one
+  /// address-ordered DrxFile::write_chunks batch (an async batch claims
+  /// at most half the shard; more dirty frames take more batches). A
+  /// dirty frame that is still pinned is written after its last pin
+  /// drops (flush waits for it — do not call flush() while holding a pin
+  /// on this cache). Ends with DrxFile::flush(), so a compressed array's
+  /// slot table is as durable as the chunk bytes it describes.
   [[nodiscard]] Status flush();
 
   /// Flush + drop all unpinned frames (cold-cache tool for benches).
@@ -371,6 +375,12 @@ class ChunkCache final : public io::PrefetchSink {
       DRX_REQUIRES(s.mu);
   void submit_writes(const std::vector<std::uint64_t>& addresses);
 
+  /// One chunk to write back: its address and its raw frame bytes.
+  using WriteBack = std::pair<std::uint64_t, const std::byte*>;
+  /// Encodes `chunks` on the calling thread, then stores them with one
+  /// DrxFile::write_chunks call under io_mu_ (encoding never holds it).
+  [[nodiscard]] Status write_back(std::span<const WriteBack> chunks);
+
   /// Publishes `frame` to the fast-read table when eligible (resident,
   /// no writer pins, not loading/flushing/prefetched, slot free).
   void maybe_publish_locked(Shard& s, std::uint64_t address, Frame& frame)
@@ -531,6 +541,7 @@ class CachedDrxFile {
   /// Announces an upcoming read of `box` (see DrxFile::prefetch_box).
   void prefetch_box(const Box& box) { file_->prefetch_box(box); }
 
+  /// Writes back every dirty chunk and persists the file's metadata.
   [[nodiscard]] Status flush() { return cache_.flush(); }
   [[nodiscard]] ChunkCache::Stats stats() const { return cache_.stats(); }
   [[nodiscard]] ChunkCache& cache() noexcept { return cache_; }

@@ -18,13 +18,22 @@ namespace drx::core {
 
 namespace {
 
-/// Slot reservation for `stored` bytes: ~12.5% headroom rounded up to
-/// 64 so most re-encodes of mutated chunks still fit in place, capped
-/// at the raw chunk size (a slot never needs more — incompressible
-/// chunks are stored raw).
-std::uint64_t slot_capacity(std::uint64_t stored, std::uint64_t chunk_sz) {
-  const std::uint64_t padded = (stored + stored / 8 + 63) / 64 * 64;
-  return std::min(chunk_sz, std::max<std::uint64_t>(padded, 64));
+/// Slot granularity of compressed arrays.
+constexpr std::uint64_t kSlotAlign = 64;
+
+/// A chunk's first slot: its stored size rounded up to 64, capped at the
+/// raw chunk size (a slot never needs more — incompressible chunks are
+/// stored raw). Tight, so freshly allocated neighbours stay near-dense
+/// and coalesce into one request without writing much padding.
+std::uint64_t first_capacity(std::uint64_t stored, std::uint64_t chunk_sz) {
+  return std::min(chunk_sz,
+                  (stored + kSlotAlign - 1) / kSlotAlign * kSlotAlign);
+}
+
+/// The slot of a chunk that outgrew its old one: ~12.5% headroom, so the
+/// next growth of a chunk that is evidently growing fits in place.
+std::uint64_t grown_capacity(std::uint64_t stored, std::uint64_t chunk_sz) {
+  return first_capacity(stored + stored / 8, chunk_sz);
 }
 
 /// raw bytes / elapsed microseconds ~= MB/s: the effective-bandwidth
@@ -69,11 +78,13 @@ Result<DrxFile> DrxFile::create(std::unique_ptr<pfs::Storage> meta_storage,
   }
   DrxFile file(std::move(meta_storage), std::move(data_storage),
                std::move(meta));
-  // Zero-initialize the initial allocation so every allocated chunk is
-  // readable immediately.
+  // Every allocated chunk must read as zeros immediately: compressed
+  // arrays start with unwritten slots (no bytes stored), uncompressed
+  // ones zero-fill their dense layout.
   DRX_RETURN_IF_ERROR(file.data_->truncate(0));
   if (file.compressed()) {
-    DRX_RETURN_IF_ERROR(file.append_zero_chunks(0));
+    file.meta_.chunk_table.resize(
+        checked_size(file.meta_.mapping.total_chunks()));
   } else if (file.meta_.data_file_bytes() > 0) {
     std::vector<std::byte> zeros(checked_size(file.meta_.chunk_bytes()),
                                  std::byte{0});
@@ -96,8 +107,10 @@ Result<DrxFile> DrxFile::open(std::unique_ptr<pfs::Storage> meta_storage,
     return Status(ErrorCode::kCorrupt,
                   ".xta smaller than the metadata requires");
   }
-  return DrxFile(std::move(meta_storage), std::move(data_storage),
-                 std::move(meta));
+  DrxFile file(std::move(meta_storage), std::move(data_storage),
+               std::move(meta));
+  file.meta_dirty_ = false;  // the image on storage is exactly meta_
+  return file;
 }
 
 Result<DrxFile> DrxFile::create_posix(const std::string& name,
@@ -120,10 +133,18 @@ Result<DrxFile> DrxFile::open_posix(const std::string& name) {
 }
 
 Status DrxFile::flush() {
-  const std::vector<std::byte> image = meta_.to_bytes();
-  DRX_RETURN_IF_ERROR(meta_store_->write_at(0, image));
-  DRX_RETURN_IF_ERROR(meta_store_->flush());
-  return data_->flush();
+  // Typed references: drx_verify resolves `xmd.flush` to Storage::flush
+  // instead of every `flush` in the tree (ChunkCache::flush calls this
+  // under its io mutex).
+  pfs::Storage& xmd = *meta_store_;
+  pfs::Storage& xta = *data_;
+  if (meta_dirty_) {
+    const std::vector<std::byte> image = meta_.to_bytes();
+    DRX_RETURN_IF_ERROR(xmd.write_at(0, image));
+    meta_dirty_ = false;
+  }
+  DRX_RETURN_IF_ERROR(xmd.flush());
+  return xta.flush();
 }
 
 Status DrxFile::extend(std::size_t dim, std::uint64_t delta) {
@@ -133,9 +154,11 @@ Status DrxFile::extend(std::size_t dim, std::uint64_t delta) {
   }
   if (delta == 0) return Status::ok();
 
+  meta_dirty_ = true;
   if (const auto first = meta_.extend_elements(dim, delta)) {
     if (compressed()) {
-      DRX_RETURN_IF_ERROR(append_zero_chunks(*first));
+      // Appended chunks get unwritten slots: no data bytes move.
+      meta_.chunk_table.resize(checked_size(meta_.mapping.total_chunks()));
     } else {
       // Zero-fill the appended segment (it is physically contiguous:
       // new chunks always append to the file).
@@ -400,21 +423,9 @@ void DrxFile::prefetch_box(const Box& box) {
 
 Status DrxFile::write_chunk(std::uint64_t address,
                             std::span<const std::byte> in) {
-  DRX_CHECK(in.size() == meta_.chunk_bytes());
-  if (compressed()) {
-    std::vector<std::byte> scratch;
-    const EncodedChunk enc = encode_chunk(in, scratch);
-    return write_chunk_encoded(address, enc);
-  }
-  static const obs::MetricId kWrites = obs::counter_id("core.chunk_writes");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_written");
-  obs::registry().counter(kWrites).add();
-  obs::registry().counter(kBytes).add(in.size());
-  obs::profile_chunk(obs::ChunkOp::kWrite, address, in.size());
-  obs::ScopedSpan span("core.write_chunk", "core", in.size());
-  sample_write_entropy(in);
-  obs::StageTimer io(obs::Stage::kIoService);
-  return data_->write_at(checked_mul(address, meta_.chunk_bytes()), in);
+  std::vector<std::byte> scratch;
+  ChunkWrite one{address, encode_chunk(in, scratch)};
+  return write_chunks(std::span<ChunkWrite>(&one, 1));
 }
 
 // ---- split codec / storage API (docs/COMPRESSION.md) --------------------
@@ -438,14 +449,28 @@ DrxFile::EncodedChunk DrxFile::encode_chunk(
                       std::span<const std::byte>(scratch.data(), n)};
 }
 
-Status DrxFile::write_chunk_encoded(std::uint64_t address,
-                                    const EncodedChunk& enc) {
-  if (!compressed()) {
-    DRX_CHECK(enc.codec == codec::CodecId::kNone);
-    return write_chunk(address, enc.bytes);
-  }
-  if (address >= meta_.chunk_table.size()) {
-    return Status(ErrorCode::kOutOfRange, "chunk address out of range");
+Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
+  if (batch.empty()) return Status::ok();
+  std::sort(batch.begin(), batch.end(),
+            [](const ChunkWrite& a, const ChunkWrite& b) {
+              return a.address < b.address;
+            });
+  const std::uint64_t cb = meta_.chunk_bytes();
+  const std::uint64_t total = meta_.mapping.total_chunks();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ChunkWrite& w = batch[i];
+    if (w.address >= total) {
+      return Status(ErrorCode::kOutOfRange, "chunk address out of range");
+    }
+    if (i > 0 && w.address == batch[i - 1].address) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "duplicate chunk address in one write batch");
+    }
+    const bool raw = w.chunk.codec == codec::CodecId::kNone;
+    if (w.chunk.bytes.empty() || w.chunk.bytes.size() > cb ||
+        (raw && w.chunk.bytes.size() != cb) || (!compressed() && !raw)) {
+      return Status(ErrorCode::kInvalidArgument, "malformed encoded chunk");
+    }
   }
   static const obs::MetricId kWrites = obs::counter_id("core.chunk_writes");
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_written");
@@ -454,34 +479,104 @@ Status DrxFile::write_chunk_encoded(std::uint64_t address,
       obs::counter_id("core.codec.bytes_stored");
   static const obs::MetricId kRelocs =
       obs::counter_id("core.codec.slot_relocations");
-  static const obs::MetricId kFrag =
-      obs::counter_id("core.codec.frag_bytes");
-  const std::uint64_t cb = meta_.chunk_bytes();
-  obs::registry().counter(kWrites).add();
-  obs::registry().counter(kBytes).add(cb);  // logical bytes, as ever
-  obs::registry().counter(kRaw).add(cb);
-  obs::registry().counter(kStored).add(enc.bytes.size());
-  obs::profile_chunk(obs::ChunkOp::kWrite, address, cb);
-  obs::ScopedSpan span("core.write_chunk", "core", enc.bytes.size());
+  static const obs::MetricId kFrag = obs::counter_id("core.codec.frag_bytes");
 
-  ChunkSlot& slot = meta_.chunk_table[address];
-  const auto stored = static_cast<std::uint32_t>(enc.bytes.size());
-  obs::StageTimer io(obs::Stage::kIoService);
-  if (stored <= slot.capacity) {
-    DRX_RETURN_IF_ERROR(data_->write_at(slot.offset, enc.bytes));
-  } else {
-    // Doesn't fit: relocate to the end of the file; the old slot leaks
-    // (append-only, like extension — drx_inspect reports the frag).
-    const std::uint64_t offset = meta_.data_end;
-    DRX_RETURN_IF_ERROR(data_->write_at(offset, enc.bytes));
-    obs::registry().counter(kRelocs).add();
-    obs::registry().counter(kFrag).add(slot.capacity);
-    slot.offset = offset;
-    slot.capacity = static_cast<std::uint32_t>(slot_capacity(stored, cb));
-    meta_.data_end = checked_add(offset, slot.capacity);
+  // Place every chunk: (offset, reserved bytes) plus, on a compressed
+  // array, the slot it will own once its bytes are on storage.
+  struct Piece {
+    std::uint64_t offset = 0;
+    std::uint64_t capacity = 0;
+    std::size_t entry = 0;  ///< index into batch
+    ChunkSlot slot;         ///< compressed arrays only
+  };
+  std::vector<Piece> pieces(batch.size());
+  std::uint64_t live = 0;
+  std::uint64_t next = meta_.data_end;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ChunkWrite& w = batch[i];
+    const std::uint64_t stored = w.chunk.bytes.size();
+    live += stored;
+    obs::profile_chunk(obs::ChunkOp::kWrite, w.address, cb);
+    if (!compressed()) {
+      sample_write_entropy(w.chunk.bytes);
+      pieces[i] = Piece{checked_mul(w.address, cb), cb, i, ChunkSlot{}};
+      continue;
+    }
+    ChunkSlot slot = meta_.chunk_table[w.address];
+    if (stored > slot.capacity) {
+      // Doesn't fit (or never written): a fresh slot at the end of the
+      // file, handed out in address order; an outgrown slot leaks
+      // (append-only, like extension — drx_inspect reports the frag).
+      const bool grown = !slot.unwritten();
+      if (grown) {
+        obs::registry().counter(kRelocs).add();
+        obs::registry().counter(kFrag).add(slot.capacity);
+      }
+      slot.offset = next;
+      slot.capacity = static_cast<std::uint32_t>(
+          grown ? grown_capacity(stored, cb) : first_capacity(stored, cb));
+      next = checked_add(next, slot.capacity);
+    }
+    slot.stored = static_cast<std::uint32_t>(stored);  // <= cb, fits
+    slot.codec = static_cast<std::uint8_t>(w.chunk.codec);
+    pieces[i] = Piece{slot.offset, slot.capacity, i, slot};
   }
-  slot.stored = stored;
-  slot.codec = static_cast<std::uint8_t>(enc.codec);
+  const auto n = static_cast<std::uint64_t>(batch.size());
+  obs::registry().counter(kWrites).add(n);
+  obs::registry().counter(kBytes).add(checked_mul(n, cb));  // logical bytes
+  if (compressed()) {
+    obs::registry().counter(kRaw).add(checked_mul(n, cb));
+    obs::registry().counter(kStored).add(live);
+    std::sort(pieces.begin(), pieces.end(),
+              [](const Piece& a, const Piece& b) {
+                return a.offset < b.offset;
+              });
+  }
+
+  // One request per run of physically adjacent slots: a slot that starts
+  // where the previous one's reservation ends joins its run, the padding
+  // in between written as zeros.
+  obs::ScopedSpan span("core.write_chunks", "core", checked_size(live));
+  obs::StageTimer io(obs::Stage::kIoService);
+  std::vector<std::byte> staging;
+  for (std::size_t i = 0; i < pieces.size();) {
+    std::size_t j = i + 1;
+    while (j < pieces.size() &&
+           pieces[j].offset == pieces[j - 1].offset + pieces[j - 1].capacity) {
+      ++j;
+    }
+    const std::uint64_t base = pieces[i].offset;
+    const auto bytes_of = [&](std::size_t k) {
+      return batch[pieces[k].entry].chunk.bytes;
+    };
+    if (j == i + 1) {
+      DRX_RETURN_IF_ERROR(data_->write_at(base, bytes_of(i)));
+    } else {
+      staging.assign(
+          checked_size(pieces[j - 1].offset - base + bytes_of(j - 1).size()),
+          std::byte{0});
+      for (std::size_t k = i; k < j; ++k) {
+        std::memcpy(staging.data() + (pieces[k].offset - base),
+                    bytes_of(k).data(), bytes_of(k).size());
+      }
+      DRX_RETURN_IF_ERROR(data_->write_at(base, staging));
+    }
+    // Publish the slots of the run just stored — never earlier, so a
+    // failed write leaves every chunk it touched pointing at its old slot.
+    for (std::size_t k = i; compressed() && k < j; ++k) {
+      const ChunkSlot& slot = pieces[k].slot;
+      ChunkSlot& cur = meta_.chunk_table[batch[pieces[k].entry].address];
+      if (cur != slot) {
+        cur = slot;
+        meta_dirty_ = true;
+      }
+      if (slot.offset + slot.capacity > meta_.data_end) {
+        meta_.data_end = slot.offset + slot.capacity;
+        meta_dirty_ = true;
+      }
+    }
+    i = j;
+  }
   return Status::ok();
 }
 
@@ -505,18 +600,33 @@ Result<DrxFile::EncodedChunk> DrxFile::read_chunk_stored(
     return Status(ErrorCode::kOutOfRange, "chunk address out of range");
   }
   const ChunkSlot& slot = meta_.chunk_table[address];
-  scratch.resize(slot.stored);
-  obs::ScopedSpan span("core.read_chunk", "core", scratch.size());
+  if (slot.unwritten()) {
+    // Never written: empty bytes, which decode_chunk turns into zeros.
+    scratch.clear();
+    return EncodedChunk{codec::CodecId::kNone, std::span<const std::byte>()};
+  }
+  // Read through the slot's reserved capacity when those bytes exist on
+  // disk, as read_chunks_stored does for a batch: the head then rests
+  // where the next slot starts, so a fault followed by a fault or a
+  // read-ahead of the next address costs no seek.
+  const std::uint64_t reserved =
+      std::min<std::uint64_t>(slot.capacity, data_->size() - slot.offset);
+  scratch.resize(checked_size(std::max<std::uint64_t>(slot.stored, reserved)));
+  obs::ScopedSpan span("core.read_chunk", "core", slot.stored);
   obs::StageTimer io(obs::Stage::kIoService);
   DRX_RETURN_IF_ERROR(data_->read_at(slot.offset, scratch));
   return EncodedChunk{static_cast<codec::CodecId>(slot.codec),
-                      std::span<const std::byte>(scratch)};
+                      std::span<const std::byte>(scratch.data(), slot.stored)};
 }
 
 Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
                              std::span<const std::byte> stored,
                              std::span<std::byte> raw) const {
   DRX_CHECK(raw.size() == meta_.chunk_bytes());
+  if (stored.empty()) {  // an unwritten chunk
+    std::memset(raw.data(), 0, raw.size());
+    return Status::ok();
+  }
   static const obs::MetricId kDecodeUs =
       obs::histogram_id("core.codec.decode_us");
   Status st;
@@ -574,15 +684,17 @@ Status DrxFile::read_chunks_stored(std::uint64_t first_address,
   }
 
   // Slots of consecutive addresses are usually physically consecutive
-  // (they were created in address order): fetch the whole byte span in
-  // one request when it is dense enough, else fall back to one request
-  // per chunk packed tight into the scratch buffer.
+  // (write_chunks allocates them in address order): fetch the whole byte
+  // span in one request when it is dense enough, else fall back to one
+  // request per chunk packed tight into the scratch buffer. Unwritten
+  // slots take no part (their empty refs decode to zeros).
   std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t hi = 0;
   std::uint64_t hi_cap = 0;
   std::uint64_t live = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const ChunkSlot& s = meta_.chunk_table[first_address + i];
+    if (s.unwritten()) continue;
     lo = std::min(lo, s.offset);
     hi = std::max(hi, s.offset + s.stored);
     hi_cap = std::max(hi_cap, s.offset + s.capacity);
@@ -592,19 +704,25 @@ Status DrxFile::read_chunks_stored(std::uint64_t first_address,
   // disk) so consecutive batch reads over a packed layout stay
   // head-contiguous — a streaming scan then costs one seek total, not one
   // per batch.
+  refs.reserve(checked_size(count));
+  if (live == 0) {  // every chunk unwritten: no I/O at all
+    refs.assign(checked_size(count), StoredRef{});
+    return Status::ok();
+  }
   hi = std::max(hi, std::min(hi_cap, data_->size()));
   const std::uint64_t span_bytes = hi - lo;
   obs::ScopedSpan span("core.read_chunks_batch", "core",
                        checked_size(live));
-  refs.reserve(checked_size(count));
   if (live * 2 >= span_bytes) {
     scratch.resize(checked_size(span_bytes));
     obs::StageTimer io(obs::Stage::kIoService);
     DRX_RETURN_IF_ERROR(data_->read_at(lo, scratch));
     for (std::uint64_t i = 0; i < count; ++i) {
       const ChunkSlot& s = meta_.chunk_table[first_address + i];
-      refs.push_back(StoredRef{static_cast<codec::CodecId>(s.codec),
-                               checked_size(s.offset - lo), s.stored});
+      refs.push_back(s.unwritten()
+                         ? StoredRef{}
+                         : StoredRef{static_cast<codec::CodecId>(s.codec),
+                                     checked_size(s.offset - lo), s.stored});
     }
     return Status::ok();
   }
@@ -613,37 +731,15 @@ Status DrxFile::read_chunks_stored(std::uint64_t first_address,
   obs::StageTimer io(obs::Stage::kIoService);
   for (std::uint64_t i = 0; i < count; ++i) {
     const ChunkSlot& s = meta_.chunk_table[first_address + i];
+    if (s.unwritten()) {
+      refs.push_back(StoredRef{});
+      continue;
+    }
     DRX_RETURN_IF_ERROR(data_->read_at(
         s.offset, std::span<std::byte>(scratch.data() + pos, s.stored)));
     refs.push_back(StoredRef{static_cast<codec::CodecId>(s.codec), pos,
                              s.stored});
     pos += s.stored;
-  }
-  return Status::ok();
-}
-
-Status DrxFile::append_zero_chunks(std::uint64_t first) {
-  const std::uint64_t cb = meta_.chunk_bytes();
-  std::vector<std::byte> zeros(checked_size(cb), std::byte{0});
-  std::vector<std::byte> scratch;
-  // All appended chunks share one encoded image (but each gets its own
-  // slot so later rewrites stay independent).
-  const EncodedChunk enc = encode_chunk(zeros, scratch);
-  const std::uint64_t total = meta_.mapping.total_chunks();
-  const auto stored = static_cast<std::uint32_t>(enc.bytes.size());
-  const auto cap = static_cast<std::uint32_t>(slot_capacity(stored, cb));
-  static const obs::MetricId kRaw = obs::counter_id("core.codec.bytes_raw");
-  static const obs::MetricId kStored =
-      obs::counter_id("core.codec.bytes_stored");
-  meta_.chunk_table.resize(checked_size(total));
-  for (std::uint64_t q = first; q < total; ++q) {
-    const std::uint64_t offset = meta_.data_end;
-    DRX_RETURN_IF_ERROR(data_->write_at(offset, enc.bytes));
-    meta_.chunk_table[q] = ChunkSlot{
-        offset, stored, cap, static_cast<std::uint8_t>(enc.codec)};
-    meta_.data_end = checked_add(offset, cap);
-    obs::registry().counter(kRaw).add(cb);
-    obs::registry().counter(kStored).add(stored);
   }
   return Status::ok();
 }

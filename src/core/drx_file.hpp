@@ -39,7 +39,8 @@ class DrxFile {
 
   /// Creates a fresh array over the given storage pair. `element_bounds`
   /// are the initial bounds (>= 1 chunk per dimension is allocated even
-  /// for zero bounds); all chunks are zero-initialized.
+  /// for zero bounds); all chunks read as zeros (a compressed array
+  /// stores nothing for them until they are first written).
   [[nodiscard]] static Result<DrxFile> create(std::unique_ptr<pfs::Storage> meta_storage,
                                 std::unique_ptr<pfs::Storage> data_storage,
                                 Shape element_bounds, Shape chunk_shape,
@@ -67,7 +68,8 @@ class DrxFile {
 
   /// Extends dimension `dim` by `delta` element indices (paper Sec. II-A:
   /// which dimension and when is the application's choice). Appends zeroed
-  /// segments as needed; existing data never moves. Metadata is persisted
+  /// segments as needed (unwritten slots on a compressed array, so no data
+  /// bytes move); existing data never moves. Metadata is persisted
   /// immediately.
   [[nodiscard]] Status extend(std::size_t dim, std::uint64_t delta);
 
@@ -120,6 +122,7 @@ class DrxFile {
     return meta_.chunk_bytes();
   }
   [[nodiscard]] Status read_chunk(std::uint64_t address, std::span<std::byte> out);
+  /// Encodes and stores one raw chunk: a write_chunks batch of one.
   [[nodiscard]] Status write_chunk(std::uint64_t address, std::span<const std::byte> in);
 
   // ---- split codec / storage API (docs/COMPRESSION.md) ------------------
@@ -154,20 +157,39 @@ class DrxFile {
   [[nodiscard]] EncodedChunk encode_chunk(std::span<const std::byte> raw,
                                           std::vector<std::byte>& scratch) const;
 
-  /// Stores an encoded chunk: in place when it fits the chunk's slot
-  /// capacity, else relocated to the end of the .xta (the old slot
-  /// leaks, append-only like extension). Touches the slot table and
-  /// storage — callers serialize this like any other chunk write.
-  [[nodiscard]] Status write_chunk_encoded(std::uint64_t address,
-                                           const EncodedChunk& enc);
+  /// One entry of a write_chunks batch.
+  struct ChunkWrite {
+    std::uint64_t address = 0;
+    EncodedChunk chunk;  ///< encode_chunk output (raw bytes if uncompressed)
+  };
 
-  /// Reads a chunk's stored bytes without decoding (resizes `scratch`).
+  /// The one chunk write primitive. Sorts `batch` by address (in place)
+  /// and stores every chunk, issuing one storage request per physically
+  /// contiguous run instead of one per chunk:
+  ///  - uncompressed: consecutive addresses are consecutive in the .xta;
+  ///  - compressed: a chunk that fits its slot is rewritten in place; the
+  ///    others get slots packed back to back at data_end in address
+  ///    order (the old slot leaks, append-only like extension). A first
+  ///    allocation is the stored size rounded up to 64 bytes; only a
+  ///    chunk that outgrew its slot gets ~12.5% headroom. Adjacent slots
+  ///    merge into one write, their padding filled with zeros.
+  /// A run's slot-table entries are published only after that run's write
+  /// succeeded; a failure in a later run leaves earlier runs published.
+  /// Touches the slot table and storage — callers serialize this like any
+  /// other chunk write. Addresses in one batch must be distinct.
+  [[nodiscard]] Status write_chunks(std::span<ChunkWrite> batch);
+
+  /// Reads a chunk's stored bytes without decoding (resizes `scratch`;
+  /// the request runs on through the slot's padding so the head stops
+  /// where the next slot starts). An unwritten chunk yields empty bytes
+  /// and costs no I/O.
   [[nodiscard]] Result<EncodedChunk> read_chunk_stored(
       std::uint64_t address, std::vector<std::byte>& scratch);
 
-  /// Decodes one stored chunk into exactly chunk_bytes() raw bytes.
-  /// Pure CPU; safe from any thread with no lock held. A malformed
-  /// stream returns kCorrupt (and dumps the flight recorder).
+  /// Decodes one stored chunk into exactly chunk_bytes() raw bytes; empty
+  /// `stored` bytes (an unwritten chunk) decode to zeros. Pure CPU; safe
+  /// from any thread with no lock held. A malformed stream returns
+  /// kCorrupt (and dumps the flight recorder).
   [[nodiscard]] Status decode_chunk(codec::CodecId chunk_codec,
                                     std::span<const std::byte> stored,
                                     std::span<std::byte> raw) const;
@@ -218,7 +240,9 @@ class DrxFile {
     return prefetch_sink_;
   }
 
-  /// Persists metadata (also called by extend/create).
+  /// Persists metadata (also called by extend/create) and flushes both
+  /// storages. The .xmd image is rewritten only when the metadata changed
+  /// since the last flush.
   [[nodiscard]] Status flush();
 
   [[nodiscard]] pfs::Storage& data_storage() noexcept { return *data_; }
@@ -236,17 +260,11 @@ class DrxFile {
 
   [[nodiscard]] Status check_index(std::span<const std::uint64_t> index) const;
   /// Chunks covering element box `box` as (address, chunk index) pairs in
-  /// ascending storage-address order. Box transfers visit chunks in this
-  /// order so dense scans sweep the .xta near-sequentially, and — on
-  /// compressed arrays — slot relocations triggered by a bulk rewrite
-  /// append in address order, keeping the stored layout coalescible for
-  /// later streaming reads.
+  /// ascending linear-address order. Box transfers visit chunks in this
+  /// order so dense scans sweep the .xta near-sequentially (on compressed
+  /// arrays write_chunks keeps slot allocation in address order too).
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Index>> chunks_by_address(
       const Box& box) const;
-  /// Allocates slots for chunks [first, total_chunks) of a compressed
-  /// array and stores an encoded all-zeroes payload in each (create and
-  /// extend share this; appended chunks must read back as zeroes).
-  [[nodiscard]] Status append_zero_chunks(std::uint64_t first);
   /// Cheap write-path entropy sampling for the drx_doctor
   /// compression-would-pay hint (docs/COMPRESSION.md): every ~64th raw
   /// chunk write trial-encodes a bounded prefix and records the ratio.
@@ -255,6 +273,10 @@ class DrxFile {
   std::unique_ptr<pfs::Storage> meta_store_;
   std::unique_ptr<pfs::Storage> data_;
   Metadata meta_;
+  /// Metadata changed since the last .xmd write (flush() skips it when
+  /// false). Plain bool: mutated only under the same serialization as
+  /// chunk writes.
+  bool meta_dirty_ = true;
   ChunkSpace chunk_space_;
   /// Memoized run-coalesced copy plans shared by every box read/write of
   /// this file (unique_ptr: PlanCache holds a Mutex and DrxFile moves).

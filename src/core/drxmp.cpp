@@ -260,11 +260,22 @@ Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
     }
   }
 
-  // Sort by slot offset, not by linear address: rewrites before the array
-  // reached DRX-MP may have relocated slots out of address order, and the
-  // MPI file view must be monotonic in file displacement.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  // Unwritten chunks own no storage: they are zero-filled here and left
+  // out of the view. Sort the rest by slot offset, not by linear address:
+  // rewrites before the array reached DRX-MP may have relocated slots out
+  // of address order, and the MPI file view must be monotonic in file
+  // displacement.
+  auto* out = static_cast<std::byte*>(staging);
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (meta_.chunk_table[addresses[i]].unwritten()) {
+      std::memset(out + checked_mul(i, cb), 0, checked_size(cb));
+    } else {
+      order.push_back(i);
+    }
+  }
+  const std::size_t stored_n = order.size();
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return meta_.chunk_table[addresses[a]].offset <
            meta_.chunk_table[addresses[b]].offset;
@@ -273,11 +284,11 @@ Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
   // Byte-granular view built from the slot table: block i covers exactly
   // the stored bytes of the i-th slot in file-offset order, landing packed
   // in a local compressed buffer.
-  std::vector<std::uint64_t> blocklens(n);
-  std::vector<std::uint64_t> file_displs(n);
-  std::vector<std::uint64_t> mem_displs(n);
+  std::vector<std::uint64_t> blocklens(stored_n);
+  std::vector<std::uint64_t> file_displs(stored_n);
+  std::vector<std::uint64_t> mem_displs(stored_n);
   std::uint64_t total_stored = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < stored_n; ++i) {
     const ChunkSlot& slot = meta_.chunk_table[addresses[order[i]]];
     blocklens[i] = slot.stored;
     file_displs[i] = slot.offset;
@@ -288,14 +299,17 @@ Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
 
   const simpi::Datatype byte_type = simpi::Datatype::bytes(1);
   const simpi::Datatype filetype =
-      n == 0 ? simpi::Datatype::bytes(0)
-             : simpi::Datatype::hindexed(blocklens, file_displs, byte_type);
+      stored_n == 0
+          ? simpi::Datatype::bytes(0)
+          : simpi::Datatype::hindexed(blocklens, file_displs, byte_type);
   const simpi::Datatype memtype =
-      n == 0 ? simpi::Datatype::bytes(0)
-             : simpi::Datatype::hindexed(blocklens, mem_displs, byte_type);
+      stored_n == 0
+          ? simpi::Datatype::bytes(0)
+          : simpi::Datatype::hindexed(blocklens, mem_displs, byte_type);
 
-  data_.set_view(0, byte_type, n == 0 ? byte_type : filetype);
-  const std::uint64_t count = n == 0 ? 0 : 1;
+  // With nothing stored a rank still participates in collective calls.
+  data_.set_view(0, byte_type, stored_n == 0 ? byte_type : filetype);
+  const std::uint64_t count = stored_n == 0 ? 0 : 1;
   DRX_RETURN_IF_ERROR(collective
                           ? data_.read_at_all(0, comp.data(), count, memtype)
                           : data_.read_at(0, comp.data(), count, memtype));
@@ -304,8 +318,7 @@ Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
   // the I/O call; each chunk lands at its caller-order staging position.
   static const obs::MetricId kDecodeUs =
       obs::histogram_id("core.codec.decode_us");
-  auto* out = static_cast<std::byte*>(staging);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < stored_n; ++i) {
     const ChunkSlot& slot = meta_.chunk_table[addresses[order[i]]];
     Status st;
     {

@@ -161,6 +161,7 @@ Result<Metadata> Metadata::from_bytes(std::span<const std::byte> data) {
       DRX_ASSIGN_OR_RETURN(s.stored, body.get_u32());
       DRX_ASSIGN_OR_RETURN(s.capacity, body.get_u32());
       DRX_ASSIGN_OR_RETURN(s.codec, body.get_u8());
+      if (s.unwritten()) continue;  // never written: reads as zeros
       if (!codec::valid_codec(s.codec) || s.stored > s.capacity ||
           checked_add(s.offset, s.capacity) > meta.data_end) {
         return Status(ErrorCode::kCorrupt, "chunk slot out of bounds");

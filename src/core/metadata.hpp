@@ -25,11 +25,15 @@ namespace drx::core {
 /// bytes starting at `offset`; `stored` of them are live. Rewrites that
 /// still fit update in place; larger rewrites relocate to the end of
 /// the file and leak the old slot (append-only, like extension itself).
+/// A chunk that was never written keeps the all-zero slot: it owns no
+/// storage and reads back as zeros without any I/O.
 struct ChunkSlot {
   std::uint64_t offset = 0;    ///< byte offset in the .xta
   std::uint32_t stored = 0;    ///< bytes actually stored
   std::uint32_t capacity = 0;  ///< bytes reserved at offset
   std::uint8_t codec = 0;      ///< per-chunk codec::CodecId of the bytes
+
+  [[nodiscard]] bool unwritten() const noexcept { return *this == ChunkSlot{}; }
 
   friend bool operator==(const ChunkSlot&, const ChunkSlot&) = default;
 };
@@ -52,7 +56,8 @@ struct Metadata {
   /// Array-level codec negotiated at create time. kNone -> legacy dense
   /// layout, empty chunk_table, version-1 serialization.
   codec::CodecId codec = codec::CodecId::kNone;
-  /// One slot per linear chunk address (compressed arrays only).
+  /// One slot per linear chunk address (compressed arrays only);
+  /// appended chunks start as unwritten slots.
   std::vector<ChunkSlot> chunk_table;
   /// High-water mark of the .xta file (compressed arrays only): the
   /// next relocated/appended slot starts here.

@@ -1,13 +1,17 @@
 // Compressed-array end-to-end tests (docs/COMPRESSION.md): the v2 slot
 // table round-trips through create/flush/open, every DrxFile access path
 // (element, box, chunk, cache, prefetch) sees the logical bytes, damage
-// surfaces as a clean kCorrupt with a flight dump, and DRX_COMPRESS=off
-// output stays byte-identical to the legacy v1 format.
+// surfaces as a clean kCorrupt with a flight dump, DRX_COMPRESS=off
+// output stays byte-identical to the legacy v1 format, a cache flush
+// costs one storage request per contiguous run of slots, and chunks
+// that were never written store and read nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -348,6 +352,286 @@ TEST(Compression, WriteBehindCodecStress) {
   }
 }
 
+// ---- batched write-back and unwritten slots --------------------------------
+
+pfs::MemStorage& mem(pfs::Storage& s) {
+  return static_cast<pfs::MemStorage&>(s);
+}
+
+/// Pins chunks [0, n), fills each with `value + q` and unpins it dirty.
+void dirty_chunks(ChunkCache& cache, std::uint64_t n, double value) {
+  for (std::uint64_t q = 0; q < n; ++q) {
+    auto p = cache.pin(q);
+    ASSERT_TRUE(p.is_ok()) << p.status();
+    const double v = value + static_cast<double>(q);
+    for (std::size_t i = 0; i < p.value().size() / sizeof(double); ++i) {
+      std::memcpy(p.value().data() + i * sizeof(double), &v, sizeof(v));
+    }
+    cache.unpin(q, /*dirty=*/true);
+  }
+}
+
+std::uint64_t round_up_64(std::uint64_t n) { return (n + 63) / 64 * 64; }
+
+TEST(Compression, CachedFlushPersistsSlotTable) {
+  // One 64x64 bit-packed chunk written through a CachedDrxFile: after
+  // flush() the storages alone must reopen to the written values.
+  for (const int io_threads : {0, 2}) {
+    DrxFile f = make_compressed(
+        Shape{64, 64}, Shape{64, 64},
+        compressed_opts(codec::CodecId::kBitPack, ElementType::kInt32));
+    std::vector<std::int32_t> buf(64 * 64);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<std::int32_t>(i);
+    }
+    CachedDrxFile cached(f, 4, ChunkCache::AsyncOptions{io_threads, 0, 1});
+    const Box all{{0, 0}, {64, 64}};
+    ASSERT_TRUE(
+        cached
+            .write_box(all, MemoryOrder::kRowMajor,
+                       std::as_bytes(std::span<const std::int32_t>(buf)))
+            .is_ok());
+    ASSERT_TRUE(cached.flush().is_ok());
+    auto reopened = DrxFile::open(copy_of(f.meta_storage()),
+                                  copy_of(f.data_storage()));
+    ASSERT_TRUE(reopened.is_ok()) << reopened.status();
+    std::vector<std::int32_t> back(64 * 64);
+    ASSERT_TRUE(
+        reopened.value()
+            .read_box(all, MemoryOrder::kRowMajor,
+                      std::as_writable_bytes(std::span<std::int32_t>(back)))
+            .is_ok());
+    EXPECT_EQ(back, buf) << "io_threads " << io_threads;
+  }
+}
+
+TEST(Compression, OnlyTheAllZeroSlotMayStoreNothing) {
+  Metadata m(ElementType::kDouble, MemoryOrder::kRowMajor, Shape{4, 4},
+             Shape{2, 2});
+  m.codec = codec::CodecId::kRle;
+  m.chunk_table.resize(checked_size(m.mapping.total_chunks()));
+  m.chunk_table[0] = ChunkSlot{0, 20, 64, static_cast<std::uint8_t>(m.codec)};
+  m.data_end = 128;
+  auto back = Metadata::from_bytes(m.to_bytes());
+  ASSERT_TRUE(back.is_ok()) << back.status();
+  EXPECT_EQ(back.value(), m);
+  EXPECT_FALSE(back.value().chunk_table[0].unwritten());
+  EXPECT_TRUE(back.value().chunk_table[1].unwritten());
+
+  const auto rle = static_cast<std::uint8_t>(codec::CodecId::kRle);
+  for (const ChunkSlot bad :
+       {ChunkSlot{64, 0, 64, rle}, ChunkSlot{0, 0, 64, rle},
+        ChunkSlot{0, 0, 0, rle}, ChunkSlot{64, 0, 0, 0},
+        ChunkSlot{0, 0, 64, 0}}) {
+    Metadata broken = m;
+    broken.chunk_table[1] = bad;
+    const auto r = Metadata::from_bytes(broken.to_bytes());
+    ASSERT_FALSE(r.is_ok()) << "slot {" << bad.offset << "," << bad.stored
+                            << "," << bad.capacity << "," << int{bad.codec}
+                            << "} must be rejected";
+    EXPECT_EQ(r.status().code(), ErrorCode::kCorrupt);
+  }
+}
+
+TEST(Compression, ExtendWritesNoDataBytes) {
+  DrxFile f = make_compressed(Shape{4, 4}, Shape{2, 2});
+  for_each_index(Box{{0, 0}, {4, 4}}, [&](const Index& idx) {
+    ASSERT_TRUE(f.set<double>(idx, row_value(idx)).is_ok());
+  });
+  const std::uint64_t first_new = f.metadata().mapping.total_chunks();
+  const pfs::IoStats before = mem(f.data_storage()).stats();
+  ASSERT_TRUE(f.extend(0, 6).is_ok());
+  ASSERT_TRUE(f.extend(1, 2).is_ok());
+  const pfs::IoStats extended = mem(f.data_storage()).stats() - before;
+  EXPECT_EQ(extended.write_requests, 0u);
+  EXPECT_EQ(extended.bytes_written, 0u);
+  const std::uint64_t total = f.metadata().mapping.total_chunks();
+  ASSERT_GT(total, first_new);
+  for (std::uint64_t q = first_new; q < total; ++q) {
+    EXPECT_TRUE(f.metadata().chunk_table[q].unwritten()) << "chunk " << q;
+  }
+
+  // Never-written chunks read as zeros with no I/O, through the direct
+  // chunk path and through cache read-ahead.
+  const std::uint64_t reads_before =
+      mem(f.data_storage()).stats().read_requests;
+  std::vector<std::byte> chunk(checked_size(f.chunk_bytes()), std::byte{1});
+  ASSERT_TRUE(f.read_chunk(total - 1, chunk).is_ok());
+  EXPECT_TRUE(std::all_of(chunk.begin(), chunk.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  {
+    ChunkCache cache(f, 16, ChunkCache::AsyncOptions{2, 8, 1});
+    cache.prefetch(first_new, total - first_new);
+    for (std::uint64_t q = first_new; q < total; ++q) {
+      auto p = cache.pin(q, /*writable=*/false);
+      ASSERT_TRUE(p.is_ok()) << p.status();
+      EXPECT_TRUE(std::all_of(p.value().begin(), p.value().end(),
+                              [](std::byte b) { return b == std::byte{0}; }));
+      cache.unpin(q, /*dirty=*/false, /*writable=*/false);
+    }
+  }
+  EXPECT_EQ(mem(f.data_storage()).stats().read_requests, reads_before);
+  for_each_index(Box{{0, 0}, {10, 6}}, [&](const Index& idx) {
+    const double expect = (idx[0] < 4 && idx[1] < 4) ? row_value(idx) : 0.0;
+    ASSERT_EQ(f.get<double>(idx).value(), expect);
+  });
+}
+
+TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequest) {
+  constexpr std::uint64_t kN = 8;
+  for (const bool compressed : {true, false}) {
+    for (const int io_threads : {0, 2}) {
+      DrxFile::Options o = compressed_opts();
+      if (!compressed) o.codec = codec::CodecId::kNone;
+      // One row of kN chunks: linear addresses 0 .. kN-1.
+      DrxFile f = make_compressed(Shape{4, 4 * kN}, Shape{4, 4}, o);
+      ASSERT_EQ(f.metadata().mapping.total_chunks(), kN);
+      const std::string what = std::string(compressed ? "compressed" : "raw") +
+                               ", io_threads " + std::to_string(io_threads);
+      {
+        ChunkCache cache(f, 2 * kN, ChunkCache::AsyncOptions{io_threads, 0, 1});
+        // Round 0 allocates every slot; round 1 rewrites them in place.
+        for (int round = 0; round < 2; ++round) {
+          dirty_chunks(cache, kN, 100.0 * (round + 1));
+          const pfs::IoStats& io = mem(f.data_storage()).stats();
+          const std::uint64_t before = io.write_requests;
+          ASSERT_TRUE(cache.flush().is_ok());
+          EXPECT_EQ(io.write_requests - before, 1u)
+              << what << ", round " << round;
+        }
+      }
+      std::vector<std::byte> chunk(checked_size(f.chunk_bytes()));
+      for (std::uint64_t q = 0; q < kN; ++q) {
+        ASSERT_TRUE(f.read_chunk(q, chunk).is_ok());
+        double v = 0;
+        std::memcpy(&v, chunk.data() + chunk.size() - sizeof(v), sizeof(v));
+        EXPECT_EQ(v, 200.0 + static_cast<double>(q)) << what;
+      }
+    }
+  }
+}
+
+TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrder) {
+  constexpr std::uint64_t kN = 8;
+  DrxFile f = make_compressed(
+      Shape{8, 8 * kN}, Shape{8, 8},
+      compressed_opts(codec::CodecId::kBitPack, ElementType::kInt64));
+  const std::uint64_t cb = f.chunk_bytes();
+  ChunkCache cache(f, 2 * kN, ChunkCache::AsyncOptions{0, 0, 1});
+  const auto fill = [&](std::int64_t spread) {
+    // Reverse address order: the batch must sort, not trust its input.
+    for (std::uint64_t q = kN; q-- > 0;) {
+      auto p = cache.pin(q);
+      ASSERT_TRUE(p.is_ok()) << p.status();
+      const std::size_t n = p.value().size() / sizeof(std::int64_t);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto v = static_cast<std::int64_t>(q) +
+                       static_cast<std::int64_t>(i * 37) % (spread + 1);
+        std::memcpy(p.value().data() + i * sizeof(v), &v, sizeof(v));
+      }
+      cache.unpin(q, /*dirty=*/true);
+    }
+  };
+  // Narrow values: first allocations are tight (stored rounded up to 64).
+  fill(0);
+  ASSERT_TRUE(cache.flush().is_ok());
+  for (std::uint64_t q = 0; q < kN; ++q) {
+    const ChunkSlot& slot = f.metadata().chunk_table[q];
+    EXPECT_EQ(slot.capacity, std::min(cb, round_up_64(slot.stored))) << q;
+    if (q > 0) {
+      const ChunkSlot& prev = f.metadata().chunk_table[q - 1];
+      EXPECT_EQ(slot.offset, prev.offset + prev.capacity) << q;
+    }
+  }
+  // 12-bit values outgrow every slot: all kN chunks relocate at once.
+  const std::uint64_t end_before = f.metadata().data_end;
+  const std::uint64_t before = mem(f.data_storage()).stats().write_requests;
+  fill(4000);
+  ASSERT_TRUE(cache.flush().is_ok());
+  EXPECT_EQ(mem(f.data_storage()).stats().write_requests - before, 1u);
+  std::uint64_t expect_offset = end_before;
+  for (std::uint64_t q = 0; q < kN; ++q) {
+    const ChunkSlot& slot = f.metadata().chunk_table[q];
+    EXPECT_EQ(slot.offset, expect_offset) << "chunk " << q;
+    // Grown chunks get headroom for their next growth.
+    EXPECT_GE(slot.capacity,
+              std::min<std::uint64_t>(cb, slot.stored + slot.stored / 8))
+        << q;
+    expect_offset = slot.offset + slot.capacity;
+  }
+  EXPECT_EQ(f.metadata().data_end, expect_offset);
+
+  auto reopened =
+      DrxFile::open(copy_of(f.meta_storage()), copy_of(f.data_storage()));
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status();
+  std::vector<std::byte> chunk(checked_size(cb));
+  for (std::uint64_t q = 0; q < kN; ++q) {
+    ASSERT_TRUE(reopened.value().read_chunk(q, chunk).is_ok());
+    std::int64_t v = 0;
+    std::memcpy(&v, chunk.data() + 5 * sizeof(v), sizeof(v));
+    EXPECT_EQ(v, static_cast<std::int64_t>(q) + 5 * 37 % 4001) << q;
+  }
+}
+
+TEST(Compression, BatchedFlushNeverStarvesConcurrentPins) {
+  // A flush batch claims at most half of the shard, so on a 4-frame cache
+  // one concurrent demand pin always finds a frame. Read-ahead is off:
+  // its reservations are a separate claim on the pool.
+  DrxFile file = make_compressed(Shape{16, 16}, Shape{2, 2});
+  constexpr std::uint64_t kDirty = 4;
+  constexpr int kRounds = 200;
+  std::atomic<bool> stop{false};
+  std::atomic<int> refused{0};
+  {
+    ChunkCache cache(file, 4, ChunkCache::AsyncOptions{2, 0, 1});
+    std::thread reader([&] {
+      SplitMix64 rng(7);
+      while (!stop.load()) {
+        const std::uint64_t q = rng.next_in(32, 63);
+        auto p = cache.pin(q, /*writable=*/false);
+        if (!p.is_ok()) {
+          if (p.status().code() == ErrorCode::kFailedPrecondition) ++refused;
+          continue;
+        }
+        cache.unpin(q, /*dirty=*/false, /*writable=*/false);
+      }
+    });
+    for (int round = 0; round < kRounds && refused.load() == 0; ++round) {
+      for (std::uint64_t q = 0; q < kDirty; ++q) {
+        auto p = cache.pin(q);
+        if (!p.is_ok()) {
+          if (p.status().code() == ErrorCode::kFailedPrecondition) ++refused;
+          continue;
+        }
+        const double v = static_cast<double>(round);
+        std::memcpy(p.value().data(), &v, sizeof(v));
+        cache.unpin(q, /*dirty=*/true);
+      }
+      ASSERT_TRUE(cache.flush().is_ok());
+    }
+    stop.store(true);
+    reader.join();
+  }
+  EXPECT_EQ(refused.load(), 0);
+  std::vector<std::byte> chunk(checked_size(file.chunk_bytes()));
+  for (std::uint64_t q = 0; q < kDirty; ++q) {
+    ASSERT_TRUE(file.read_chunk(q, chunk).is_ok());
+    double v = 0;
+    std::memcpy(&v, chunk.data(), sizeof(v));
+    EXPECT_EQ(v, static_cast<double>(kRounds - 1)) << "chunk " << q;
+  }
+}
+
+TEST(Compression, WriteChunksRejectsDuplicateAddresses) {
+  DrxFile f = make_compressed(Shape{4, 4}, Shape{2, 2});
+  std::vector<std::byte> raw(checked_size(f.chunk_bytes()), std::byte{0});
+  std::vector<std::byte> s0, s1;
+  DrxFile::ChunkWrite batch[2] = {{1, f.encode_chunk(raw, s0)},
+                                  {1, f.encode_chunk(raw, s1)}};
+  EXPECT_EQ(f.write_chunks(batch).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(f.metadata().chunk_table[1].unwritten());
+}
+
 // ---- DRX-MP: compressed arrays are read-only ------------------------------
 
 TEST(CompressionMp, CollectiveReadOfSeriallyCompressedArray) {
@@ -394,6 +678,61 @@ TEST(CompressionMp, CollectiveReadOfSeriallyCompressedArray) {
                   .code(),
               ErrorCode::kUnsupported);
     EXPECT_EQ(f.extend_all(0, 3).code(), ErrorCode::kUnsupported);
+    ASSERT_TRUE(f.close().is_ok());
+  });
+}
+
+TEST(CompressionMp, CollectiveReadOfNeverWrittenChunks) {
+  pfs::PfsConfig cfg;
+  cfg.num_servers = 4;
+  cfg.stripe_size = 256;
+  pfs::Pfs fs(cfg);
+  // Only the first chunk row (rows 0..2) is ever written.
+  {
+    auto meta_h = fs.create("sparse.xmd", /*overwrite=*/true);
+    auto data_h = fs.create("sparse.xta", /*overwrite=*/true);
+    ASSERT_TRUE(meta_h.is_ok());
+    ASSERT_TRUE(data_h.is_ok());
+    auto f = DrxFile::create(
+        std::make_unique<pfs::PfsStorage>(std::move(meta_h).value()),
+        std::make_unique<pfs::PfsStorage>(std::move(data_h).value()),
+        Shape{12, 10}, Shape{3, 2}, compressed_opts());
+    ASSERT_TRUE(f.is_ok()) << f.status();
+    for_each_index(Box{{0, 0}, {3, 10}}, [&](const Index& idx) {
+      ASSERT_TRUE(f.value().set<double>(idx, row_value(idx)).is_ok());
+    });
+    ASSERT_TRUE(f.value().flush().is_ok());
+  }
+  const auto expect = [](const Index& idx) {
+    return idx[0] < 3 ? row_value(idx) : 0.0;
+  };
+
+  simpi::run(4, [&](simpi::Comm& comm) {
+    auto fr = DrxMpFile::open(comm, fs, "sparse");
+    ASSERT_TRUE(fr.is_ok()) << fr.status();
+    DrxMpFile& f = fr.value();
+
+    std::vector<double> out(12 * 10, -1.0);
+    ASSERT_TRUE(f.read_box_all(Box{{0, 0}, {12, 10}}, MemoryOrder::kRowMajor,
+                               std::as_writable_bytes(std::span<double>(out)))
+                    .is_ok());
+    for_each_index(Box{{0, 0}, {12, 10}}, [&](const Index& idx) {
+      ASSERT_EQ(out[static_cast<std::size_t>(idx[0] * 10 + idx[1])],
+                expect(idx));
+    });
+
+    // Rank r reads chunk row r: ranks 1..3 see only unwritten chunks and
+    // still take part in the collective with an empty view.
+    const std::uint64_t r = static_cast<std::uint64_t>(comm.rank());
+    const Box mine{{3 * r, 0}, {3 * r + 3, 10}};
+    std::vector<double> band(3 * 10, -1.0);
+    ASSERT_TRUE(f.read_box_all(mine, MemoryOrder::kRowMajor,
+                               std::as_writable_bytes(std::span<double>(band)))
+                    .is_ok());
+    for_each_index(mine, [&](const Index& idx) {
+      ASSERT_EQ(band[static_cast<std::size_t>((idx[0] - 3 * r) * 10 + idx[1])],
+                expect(idx));
+    });
     ASSERT_TRUE(f.close().is_ok());
   });
 }

@@ -47,6 +47,12 @@ drx::Result<Metadata> load_metadata(const std::string& name) {
   return Metadata::from_bytes(image);
 }
 
+std::uint64_t unwritten_chunks(const Metadata& m) {
+  return static_cast<std::uint64_t>(
+      std::count_if(m.chunk_table.begin(), m.chunk_table.end(),
+                    [](const core::ChunkSlot& s) { return s.unwritten(); }));
+}
+
 void shape_to_json(const core::Shape& s, obs::JsonWriter& w) {
   w.begin_array();
   for (std::uint64_t v : s) w.value(v);
@@ -85,6 +91,7 @@ int inspect_json(const std::string& name) {
     const std::uint64_t live = m.stored_live_bytes();
     w.key("stored_bytes").value(live);
     w.key("data_end").value(m.data_end);
+    w.key("unwritten_chunks").value(unwritten_chunks(m));
     w.key("compression_ratio")
         .value(live == 0 ? 0.0
                          : static_cast<double>(m.data_file_bytes()) /
@@ -99,6 +106,7 @@ int inspect_json(const std::string& name) {
       w.key("capacity").value(static_cast<std::uint64_t>(slot.capacity));
       w.key("codec").value(
           codec::codec_name(static_cast<codec::CodecId>(slot.codec)));
+      w.key("unwritten").value(slot.unwritten());
       w.end_object();
     }
     w.end_array();
@@ -192,11 +200,17 @@ int inspect(const std::string& name, bool chunk_table) {
                 static_cast<unsigned long long>(live),
                 static_cast<unsigned long long>(m.data_file_bytes()),
                 ratio, static_cast<unsigned long long>(m.data_end));
+    std::printf("  unwritten chunks: %llu (no storage; read as zeros)\n",
+                static_cast<unsigned long long>(unwritten_chunks(m)));
     constexpr std::size_t kMaxSlotRows = 64;
     std::printf("  chunk slots (address: offset stored/capacity codec):\n");
     for (std::size_t a = 0;
          a < std::min(m.chunk_table.size(), kMaxSlotRows); ++a) {
       const core::ChunkSlot& slot = m.chunk_table[a];
+      if (slot.unwritten()) {
+        std::printf("    %6zu: unwritten\n", a);
+        continue;
+      }
       std::printf("    %6zu: %10llu %8llu/%-8llu %s\n", a,
                   static_cast<unsigned long long>(slot.offset),
                   static_cast<unsigned long long>(slot.stored),
