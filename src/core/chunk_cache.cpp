@@ -319,12 +319,22 @@ void ChunkCache::queue_write_locked(Shard& s, std::uint64_t address,
 Status ChunkCache::evict_one_locked(Shard& s, util::MutexLock& lock,
                                     std::vector<std::uint64_t>& write_submits)
     DRX_NO_THREAD_SAFETY_ANALYSIS {
-  if (s.lru.empty()) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "all cache frames are pinned");
+  std::uint64_t victim = kNoAddress;
+  if (!s.lru.empty()) {
+    victim = s.lru.back();
+    s.lru.pop_back();
+  } else {
+    // A landed read-ahead stays off the LRU until its first pin, so a
+    // scan's own evictions never displace it; when nothing else is
+    // evictable, demand takes one (a pin clears `prefetched`).
+    for (const auto& [address, frame] : s.frames) {
+      if (frame.prefetched && !frame.loading) victim = address;
+    }
+    if (victim == kNoAddress) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    "all cache frames are pinned");
+    }
   }
-  const std::uint64_t victim = s.lru.back();
-  s.lru.pop_back();
   auto it = s.frames.find(victim);
   DRX_CHECK(it != s.frames.end());
   // Withdraw from the fast-read table first: after the erase below the
@@ -514,6 +524,10 @@ Result<std::span<std::byte>> ChunkCache::pin(std::uint64_t address,
   util::MutexLock lock(s.mu);
   lock_wait.stop();
   int borrows = 0;
+  // A pin that waits for frames and retries is still one access: count
+  // its hit or miss (and feed the scan detector) once.
+  bool counted = false;
+  std::uint64_t readahead_want = 0;
 restart:
   auto it = s.frames.find(address);
   if (it != s.frames.end() && (it->second.loading || it->second.flushing)) {
@@ -533,8 +547,10 @@ restart:
   }
   if (it != s.frames.end()) {
     Frame& frame = it->second;
-    ++s.stats.hits;
-    obs::registry().counter(kHits).add();
+    if (!counted) {
+      ++s.stats.hits;
+      obs::registry().counter(kHits).add();
+    }
     if (frame.prefetched) {
       frame.prefetched = false;
       ++s.stats.prefetch_useful;
@@ -556,20 +572,22 @@ restart:
     return std::span<std::byte>(frame.data.get(), cb);
   }
 
-  ++s.stats.misses;
-  obs::registry().counter(kMisses).add();
-  obs::profile_chunk(obs::ChunkOp::kCacheMiss, address, 0);
+  if (!counted) {
+    counted = true;
+    ++s.stats.misses;
+    obs::registry().counter(kMisses).add();
+    obs::profile_chunk(obs::ChunkOp::kCacheMiss, address, 0);
 
-  // Sequential-scan detector (async mode only): consecutive miss
-  // addresses accumulate a run; once it is long enough, read ahead.
-  std::uint64_t readahead_want = 0;
-  if (async() && prefetch_depth_ > 0) {
-    util::MutexLock seq(seq_mu_);
-    seq_run_ = (last_miss_ != kNoAddress && address == last_miss_ + 1)
-                   ? seq_run_ + 1
-                   : 1;
-    last_miss_ = address;
-    if (seq_run_ >= kSequentialThreshold) readahead_want = prefetch_depth_;
+    // Sequential-scan detector (async mode only): consecutive miss
+    // addresses accumulate a run; once it is long enough, read ahead.
+    if (async() && prefetch_depth_ > 0) {
+      util::MutexLock seq(seq_mu_);
+      seq_run_ = (last_miss_ != kNoAddress && address == last_miss_ + 1)
+                     ? seq_run_ + 1
+                     : 1;
+      last_miss_ = address;
+      if (seq_run_ >= kSequentialThreshold) readahead_want = prefetch_depth_;
+    }
   }
 
   obs::ScopedSpan fault_span("core.cache_fault", "core", file_->chunk_bytes());
@@ -581,6 +599,20 @@ restart:
   while (s.frames.size() >= s.capacity) {
     const Status ev = evict_one_locked(s, lock, write_submits);
     if (!ev.is_ok()) {
+      if (s.flush_claims > 0 || s.loads_inflight > 0) {
+        // A flush's claims come back after its one write_chunks call and
+        // read-ahead frames once their read lands; both notify s.cv.
+        // Submit our queued write-behind first (the flush barrier may be
+        // waiting on this shard's queue), else wait; then retry.
+        if (!write_submits.empty()) {
+          lock.unlock();
+          submit_writes(write_submits);
+          lock.lock();
+        } else {
+          s.cv.wait(lock);  // seen under this lock: no lost notify
+        }
+        goto restart;
+      }
       // Every frame in this shard is pinned. Borrow a frame of capacity
       // from a sibling with slack instead of failing the pin (bounded
       // retries: concurrent pinners may consume what we borrow).
@@ -712,8 +744,8 @@ void ChunkCache::unpin(std::uint64_t address, bool dirty, bool writable) {
     s.lru.push_front(address);
     frame.lru_it = s.lru.begin();
     frame.in_lru = true;
-    // flush_shard_async_locked parks until a dirty frame's last pin drops
-    // so it can claim the buffer for an exclusive write-back.
+    // flush() parks until a dirty frame's last pin drops so it can claim
+    // the buffer for an exclusive write-back.
     if (s.flush_waiters > 0) s.cv.notify_all();
   }
   // The last writer gone (and the frame settled) re-opens the fast path.
@@ -900,127 +932,100 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
   return st;
 }
 
-Status ChunkCache::flush_shard_sync_locked(Shard& s, util::MutexLock& lock) {
-  // Single-threaded legacy shape: write the dirty frames in place as one
-  // batch. io_mu_ is taken under the shard lock here, which is safe
-  // because no pool workers exist.
-  // drx-lint: allow(cache-lock-io) sync mode has no concurrency to stall
-  (void)lock;
-  std::vector<WriteBack> batch;
-  for (auto& [address, frame] : s.frames) {
-    if (frame.dirty) batch.emplace_back(address, frame.data.get());
-  }
-  if (batch.empty()) return Status::ok();
-  s.stats.writebacks += batch.size();
-  obs::registry().counter(kWritebacks).add(batch.size());
-  const Status st = write_back(batch);
-  if (!st.is_ok()) {
-    record_error(st, /*surfaced=*/true);
-    return st;
-  }
-  for (const auto& [address, data] : batch) s.frames.at(address).dirty = false;
-  return Status::ok();
-}
-
-// Body suppression (docs/STATIC_ANALYSIS.md): the write-back window
-// releases the caller's shard lock through the MutexLock& parameter,
-// which the analysis cannot track across a function boundary. The
-// DRX_REQUIRES(s.mu) contract on the declaration still checks every call
-// site; s.mu is held on entry and on exit.
-Status ChunkCache::flush_shard_async_locked(Shard& s, util::MutexLock& lock)
-    DRX_NO_THREAD_SAFETY_ANALYSIS {
-  std::vector<WriteBack> batch;
-  for (;;) {
-    // Claim up to half the shard per batch — read-ahead's cap — so a
-    // concurrent demand pin() still finds frames it can evict.
-    const std::size_t cap = std::max<std::size_t>(1, s.capacity / 2);
-    batch.clear();
-    std::optional<std::uint64_t> pinned_dirty;
-    for (auto& [address, frame] : s.frames) {
-      if (!frame.dirty || frame.loading) continue;
-      if (frame.pins > 0) {
-        // A pinned writer may be storing into frame.data right now with
-        // no lock held (pin() hands out the raw span); reading the buffer
-        // for the storage write would race with those stores.
-        pinned_dirty = address;
-        continue;
-      }
-      if (batch.size() == cap) break;
-      frame.dirty = false;    // claimed; a later set re-marks it
-      frame.flushing = true;  // new pins wait instead of touching the buffer
-      ++frame.pins;           // holds the frame across the unlocked write
-      if (frame.in_lru) {
-        s.lru.erase(frame.lru_it);
-        frame.in_lru = false;
-      }
-      batch.emplace_back(address, frame.data.get());
-    }
-    if (batch.empty()) {
-      if (!pinned_dirty.has_value()) break;
-      // Only pinned dirty frames are left: park until this one's last pin
-      // drops, then rescan — the unpin that releases it marks dirty
-      // first, so the frame is still eligible.
-      const std::uint64_t address = *pinned_dirty;
-      ++s.flush_waiters;
-      s.cv.wait(lock, [&s, address] {
-        s.mu.assert_held();
-        const auto f = s.frames.find(address);
-        return f == s.frames.end() || f->second.pins == 0;
-      });
-      --s.flush_waiters;
-      continue;
-    }
-    // With zero foreign pins and `flushing` blocking new ones, this
-    // thread owns the claimed buffers for WRITING across the unlocked
-    // window; the storage write only READS them, so the frames can stay
-    // published — concurrent fast pins read bytes the write-back is
-    // persisting, which is exactly the newest data. Shard lock dropped,
-    // io mutex not yet taken: encode overlaps other workers' storage
-    // traffic (and never blocks readers of this shard).
-    lock.unlock();
-    const Status st = write_back(batch);
-    lock.lock();
-    for (const auto& [address, data] : batch) {
-      Frame& frame = s.frames.at(address);  // pinned above, so not erased
-      ++s.stats.writebacks;
-      obs::registry().counter(kWritebacks).add();
-      frame.flushing = false;
-      if (!st.is_ok()) frame.dirty = true;
-      if (--frame.pins == 0) {
-        s.lru.push_front(address);
-        frame.lru_it = s.lru.begin();
-        frame.in_lru = true;
-      }
-      maybe_publish_locked(s, address, frame);
-    }
-    s.cv.notify_all();  // wake pins parked on the flushing frames
-    if (!st.is_ok()) {
-      record_error(st, /*surfaced=*/true);
-      return st;
-    }
-  }
-  return Status::ok();
-}
-
 Status ChunkCache::flush() {
+  std::vector<WriteBack> batch;
+  // batch[claimed[i] .. claimed[i + 1]) are shard i's claims.
+  std::vector<std::size_t> claimed(shard_count_ + 1);
   Status direct;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    Shard& s = shards_[i];
-    util::MutexLock lock(s.mu);
-    if (async()) {
-      // Barrier: drain this shard's write-behind queue and in-flight
-      // speculative loads before claiming dirty frames.
+  for (;;) {
+    // 1. Claim pass, one shard lock at a time. The barrier and the claims
+    // share one critical section: a frame claimed after the lock was
+    // dropped could have an older queued write-behind of its address
+    // land after the flush's newer bytes.
+    batch.clear();
+    std::optional<std::pair<std::size_t, std::uint64_t>> pinned_dirty;
+    for (std::size_t i = 0; i < shard_count_; ++i) {
+      claimed[i] = batch.size();
+      Shard& s = shards_[i];
+      util::MutexLock lock(s.mu);
+      // Barrier: drain the shard's write-behind queue and in-flight
+      // speculative loads (a sync cache has neither).
       s.cv.wait(lock, [&s] {
         s.mu.assert_held();
         return s.pending_writes.empty() && s.loads_inflight == 0;
       });
+      for (auto& [address, frame] : s.frames) {
+        if (!frame.dirty || frame.loading) continue;
+        if (frame.pins > 0) {
+          // A pinned writer may be storing into frame.data right now with
+          // no lock held (pin() hands out the raw span); reading the buffer
+          // for the storage write would race with those stores.
+          pinned_dirty.emplace(i, address);
+          continue;
+        }
+        frame.dirty = false;    // claimed; a later set re-marks it
+        frame.flushing = true;  // new pins wait instead of touching the buffer
+        ++frame.pins;           // holds the frame across the unlocked write
+        if (frame.in_lru) {
+          s.lru.erase(frame.lru_it);
+          frame.in_lru = false;
+        }
+        batch.emplace_back(address, frame.data.get());
+      }
+      s.flush_claims += batch.size() - claimed[i];
     }
-    // drx-verify: allow(blocking-under-lock) sync mode is single-threaded
-    // by construction — no pool workers exist to stall on the held shard
-    // lock (see flush_shard_sync_locked).
-    const Status st = async() ? flush_shard_async_locked(s, lock)
-                              : flush_shard_sync_locked(s, lock);
-    if (direct.is_ok() && !st.is_ok()) direct = st;
+    claimed[shard_count_] = batch.size();
+
+    // 2. One write for every shard's claims, with no shard lock held. The
+    // claimed frames can stay published: the write only reads them, and
+    // `flushing` keeps every writer out until the release below.
+    const Status st = batch.empty() ? Status::ok() : write_back(batch);
+
+    // 3. Release, shard by shard, waking pins parked on the claims.
+    for (std::size_t i = 0; i < shard_count_; ++i) {
+      if (claimed[i] == claimed[i + 1]) continue;
+      Shard& s = shards_[i];
+      {
+        util::MutexLock lock(s.mu);
+        for (std::size_t k = claimed[i]; k < claimed[i + 1]; ++k) {
+          const std::uint64_t address = batch[k].first;
+          Frame& frame = s.frames.at(address);  // pinned above, so not erased
+          frame.flushing = false;
+          if (!st.is_ok()) frame.dirty = true;
+          if (--frame.pins == 0) {
+            s.lru.push_front(address);
+            frame.lru_it = s.lru.begin();
+            frame.in_lru = true;
+          }
+          maybe_publish_locked(s, address, frame);
+        }
+        const std::size_t n = claimed[i + 1] - claimed[i];
+        s.flush_claims -= n;
+        s.stats.writebacks += n;
+      }
+      s.cv.notify_all();
+    }
+    obs::registry().counter(kWritebacks).add(batch.size());
+    if (!st.is_ok()) {
+      record_error(st, /*surfaced=*/true);
+      direct = st;
+      break;
+    }
+    if (!pinned_dirty.has_value()) break;
+
+    // 4. Only now, with no claims held, wait for a pinned dirty frame's
+    // last pin to drop (a pinner may itself be waiting on our claims),
+    // then claim again — the unpin that releases it marks dirty first.
+    Shard& s = shards_[pinned_dirty->first];
+    const std::uint64_t address = pinned_dirty->second;
+    util::MutexLock lock(s.mu);
+    ++s.flush_waiters;
+    s.cv.wait(lock, [&s, address] {
+      s.mu.assert_held();
+      const auto f = s.frames.find(address);
+      return f == s.frames.end() || f->second.pins == 0;
+    });
+    --s.flush_waiters;
   }
   // A deferred write-back error that no caller has seen yet outranks a
   // direct failure from this flush: it happened first.

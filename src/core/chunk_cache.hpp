@@ -205,13 +205,15 @@ class ChunkCache final : public io::PrefetchSink {
 
   /// Barrier + write-back: drains in-flight read-ahead and write-behind,
   /// surfaces the first deferred write error, then writes back every
-  /// dirty frame without evicting — each shard's dirty frames as one
-  /// address-ordered DrxFile::write_chunks batch (an async batch claims
-  /// at most half the shard; more dirty frames take more batches). A
-  /// dirty frame that is still pinned is written after its last pin
-  /// drops (flush waits for it — do not call flush() while holding a pin
-  /// on this cache). Ends with DrxFile::flush(), so a compressed array's
-  /// slot table is as durable as the chunk bytes it describes.
+  /// dirty frame without evicting. One pass claims the dirty, unpinned
+  /// frames of every shard, and they go out as ONE address-ordered
+  /// DrxFile::write_chunks batch, so F*'s neighbours stay neighbours on
+  /// storage however the shards split them. A dirty frame that is still
+  /// pinned is written in a later pass, after its last pin drops (flush
+  /// waits for it with no claims held — do not call flush() while
+  /// holding a pin on this cache). Ends with DrxFile::flush(), so a
+  /// compressed array's slot table is as durable as the chunk bytes it
+  /// describes. Same path for sync and async caches.
   [[nodiscard]] Status flush();
 
   /// Flush + drop all unpinned frames (cold-cache tool for benches).
@@ -282,8 +284,9 @@ class ChunkCache final : public io::PrefetchSink {
 
   /// One lock shard: an independent cache slice over the addresses that
   /// hash to it. Lock order: a shard's `mu` may be held while taking the
-  /// leaf locks seq_mu_ / error_mu_ / io_mu_; never another shard's `mu`
-  /// except through ShardPairLock (lint: cache-shard-pair).
+  /// leaf locks seq_mu_ / error_mu_, never across I/O (io_mu_), and
+  /// never with another shard's `mu` except through ShardPairLock (lint:
+  /// cache-shard-pair).
   struct Shard {
     mutable util::Mutex mu;
     util::CondVar cv;  ///< load completion / queue-drain signal
@@ -298,6 +301,9 @@ class ChunkCache final : public io::PrefetchSink {
     /// Flushes parked until a dirty frame's last pin drops (unpin notifies
     /// cv only while this is nonzero, keeping the unpin fast path quiet).
     std::size_t flush_waiters DRX_GUARDED_BY(mu) = 0;
+    /// Frames a flush has claimed for its write. A pin() that finds no
+    /// evictable frame while this is nonzero waits for the release.
+    std::size_t flush_claims DRX_GUARDED_BY(mu) = 0;
     /// Frames this shard may hold; adaptive via capacity borrowing, total
     /// across shards conserved.
     std::size_t capacity DRX_GUARDED_BY(mu) = 0;
@@ -418,11 +424,6 @@ class ChunkCache final : public io::PrefetchSink {
   // Pool jobs (run on workers; inline mode never reaches them).
   [[nodiscard]] Status run_write_job(std::uint64_t address);
   [[nodiscard]] Status run_prefetch_job(std::uint64_t first, std::uint64_t count);
-
-  [[nodiscard]] Status flush_shard_sync_locked(Shard& s, util::MutexLock& lock)
-      DRX_REQUIRES(s.mu);
-  [[nodiscard]] Status flush_shard_async_locked(Shard& s, util::MutexLock& lock)
-      DRX_REQUIRES(s.mu);
 
   DrxFile* file_;
   const std::size_t capacity_;

@@ -6,7 +6,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -302,6 +305,90 @@ TEST(ChunkCacheAsync, ExplicitPrefetchIsAdvisoryAndNonBlocking) {
   EXPECT_GE(stats.prefetch_issued, 8u);
   EXPECT_GE(stats.prefetch_useful, 8u);
   EXPECT_EQ(stats.misses, 0u);  // every pin landed on a prefetched frame
+}
+
+TEST(ChunkCacheAsync, UnconsumedReadAheadFramesAreEvictable) {
+  // Two read-aheads of half the pool each fill all 4 frames; nobody pins
+  // those chunks. Once they land, a demand pin of another chunk evicts one.
+  DrxFile file = make_file(Shape{16, 16}, Shape{2, 2});
+  ChunkCache cache(file, 4, ChunkCache::AsyncOptions{2, 0, 1});
+  cache.prefetch(0, 2);
+  cache.prefetch(8, 2);
+  ASSERT_EQ(cache.stats().prefetch_issued, 4u);
+  ASSERT_TRUE(cache.flush().is_ok());  // waits for both loads to land
+  auto p = cache.pin(20);
+  ASSERT_TRUE(p.is_ok()) << p.status();
+  cache.unpin(20, false);
+  EXPECT_EQ(cache.stats().prefetch_wasted, 1u);
+}
+
+/// MemStorage whose reads wait while `hold` is set, counting themselves in
+/// `held`: keeps read-ahead frames loading for as long as a test needs.
+class HeldReadStorage final : public pfs::Storage {
+ public:
+  struct Controls {
+    std::atomic<bool> hold{false};
+    std::atomic<int> held{0};
+  };
+
+  explicit HeldReadStorage(Controls& controls) : controls_(&controls) {}
+
+  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    if (controls_->hold.load()) {
+      ++controls_->held;
+      while (controls_->hold.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return inner_.read_at(offset, out);
+  }
+  Status write_at(std::uint64_t offset,
+                  std::span<const std::byte> data) override {
+    return inner_.write_at(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  Status truncate(std::uint64_t new_size) override {
+    return inner_.truncate(new_size);
+  }
+  Status flush() override { return Status::ok(); }
+
+ private:
+  Controls* controls_;
+  pfs::MemStorage inner_;
+};
+
+TEST(ChunkCacheAsync, DemandPinWaitsForInFlightReadAhead) {
+  // Read-ahead holds every frame of a 4-frame cache while its reads are
+  // held. A demand pin of another chunk waits for the loads to land and
+  // then succeeds, instead of failing with "all cache frames are pinned".
+  HeldReadStorage::Controls controls;
+  DrxFile::Options options;
+  options.dtype = ElementType::kDouble;
+  auto f = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                           std::make_unique<HeldReadStorage>(controls),
+                           Shape{16, 16}, Shape{2, 2}, options);
+  ASSERT_TRUE(f.is_ok()) << f.status();
+  DrxFile file = std::move(f).value();
+  ChunkCache cache(file, 4, ChunkCache::AsyncOptions{2, 0, 1});
+  controls.hold = true;
+  cache.prefetch(0, 2);
+  cache.prefetch(8, 2);
+  ASSERT_EQ(cache.stats().prefetch_issued, 4u);
+  auto pinned = std::async(std::launch::async, [&cache] {
+    auto p = cache.pin(20);
+    if (p.is_ok()) cache.unpin(20, false);
+    return p.status();
+  });
+  // The pin has nothing to evict until the held reads land.
+  EXPECT_EQ(pinned.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  controls.hold = false;
+  if (pinned.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "demand pin: no progress within 10 s (deadlock)\n");
+    std::abort();  // cannot unwind past the blocked thread
+  }
+  EXPECT_TRUE(pinned.get().is_ok());
+  EXPECT_GE(controls.held.load(), 1);
 }
 
 TEST(CachedDrxFileAsync, ReadBoxPrefetchesThroughTheHintChain) {

@@ -2,8 +2,9 @@
 // access counters, the lock-free resident-read fast path (publish /
 // unpublish / write coherence), capacity borrowing between shards, and
 // an amplified multi-shard stress mix that races fast-path readers
-// against writers, flushes, and invalidation. The ChunkCacheSharded.*
-// filter runs under TSan's amplified pass in CI.
+// against writers, flushes, and invalidation, and a flush that never
+// writes a frame under a writer's pin. The ChunkCacheSharded.* filter
+// runs under TSan's amplified pass in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -370,6 +371,124 @@ TEST(ChunkCacheSharded, ConcurrentFastReadersVsWritersAndFlush) {
   ASSERT_TRUE(cache.flush().is_ok());
   const ChunkCache::Stats stats = cache.stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
+}
+
+/// MemStorage that checks every write of whole chunks: each chunk-sized,
+/// chunk-aligned piece must hold one value in every element. A write
+/// that copies a frame while a writer is halfway through storing a new
+/// version into it shows up as a chunk with two values.
+class WholeChunkStorage final : public pfs::Storage {
+ public:
+  WholeChunkStorage(std::size_t chunk_bytes, std::atomic<int>& torn)
+      : chunk_bytes_(chunk_bytes), torn_(&torn) {}
+
+  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    return inner_.read_at(offset, out);
+  }
+  Status write_at(std::uint64_t offset,
+                  std::span<const std::byte> data) override {
+    if (offset % chunk_bytes_ == 0 && data.size() % chunk_bytes_ == 0) {
+      for (std::size_t c = 0; c < data.size(); c += chunk_bytes_) {
+        if (!whole(data.subspan(c, chunk_bytes_))) ++*torn_;
+      }
+    }
+    return inner_.write_at(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  Status truncate(std::uint64_t new_size) override {
+    return inner_.truncate(new_size);
+  }
+  Status flush() override { return Status::ok(); }
+
+  /// True when every double in `chunk` equals the first one.
+  static bool whole(std::span<const std::byte> chunk) {
+    double first = 0;
+    std::memcpy(&first, chunk.data(), sizeof(first));
+    for (std::size_t i = sizeof(double); i < chunk.size(); i += sizeof(double)) {
+      double v = 0;
+      std::memcpy(&v, chunk.data() + i, sizeof(v));
+      if (v != first) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::size_t chunk_bytes_;
+  std::atomic<int>* torn_;
+  pfs::MemStorage inner_;
+};
+
+// flush() must never copy a frame a writer holds pinned: on a sync
+// sharded cache (serve's default) it waits for the pin to drop instead.
+// Writers store whole-chunk versions element by element while another
+// thread flushes; every chunk any flush writes holds one version.
+TEST(ChunkCacheSharded, FlushWhileWritersStoreNeverWritesAPinnedFrame) {
+  constexpr std::size_t kChunkBytes = 16 * 16 * sizeof(double);
+  std::atomic<int> torn{0};
+  DrxFile::Options options;
+  options.dtype = ElementType::kDouble;
+  auto created = DrxFile::create(
+      std::make_unique<pfs::MemStorage>(),
+      std::make_unique<WholeChunkStorage>(kChunkBytes, torn), Shape{64, 64},
+      Shape{16, 16}, options);
+  ASSERT_TRUE(created.is_ok()) << created.status();
+  DrxFile file = std::move(created).value();
+  ASSERT_EQ(file.chunk_bytes(), kChunkBytes);
+  constexpr std::uint64_t kChunks = 16;
+  constexpr int kWriters = 4;
+  constexpr int kVersions = 150;
+  {
+    // Room for every chunk in every shard: no eviction writes, only
+    // flushes touch storage.
+    ChunkCache cache(file, 8 * kChunks, sharded(8));
+    ASSERT_EQ(cache.shard_count(), 8u);
+    std::atomic<int> writers_left{kWriters};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        // Writer w owns chunks w, w + kWriters, ...: one writer per chunk.
+        // Back-to-back versions of one chunk re-pin it while it is still
+        // dirty from the last unpin, which is when a flush could copy it.
+        for (auto q = static_cast<std::uint64_t>(w); q < kChunks;
+             q += kWriters) {
+          for (int version = 1; version <= kVersions; ++version) {
+            auto p = cache.pin(q, /*writable=*/true);
+            if (!p.is_ok()) {
+              failed.store(true);
+              return;
+            }
+            const auto v = static_cast<double>(version);
+            const std::size_t n = p.value().size() / sizeof(double);
+            for (std::size_t i = 0; i < n; ++i) {
+              std::memcpy(p.value().data() + i * sizeof(double), &v,
+                          sizeof(v));
+              if (i == n / 2) std::this_thread::yield();
+            }
+            cache.unpin(q, /*dirty=*/true, /*writable=*/true);
+          }
+        }
+        --writers_left;
+      });
+    }
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0 && !failed.load()) {
+        if (!cache.flush().is_ok()) failed.store(true);
+      }
+    });
+    for (auto& t : threads) t.join();
+    EXPECT_FALSE(failed.load());
+    ASSERT_TRUE(cache.flush().is_ok());
+  }
+  EXPECT_EQ(torn.load(), 0) << "flush wrote a frame a writer was storing into";
+  std::vector<std::byte> chunk(kChunkBytes);
+  for (std::uint64_t q = 0; q < kChunks; ++q) {
+    ASSERT_TRUE(file.read_chunk(q, chunk).is_ok());
+    EXPECT_TRUE(WholeChunkStorage::whole(chunk)) << "chunk " << q;
+    double v = 0;
+    std::memcpy(&v, chunk.data(), sizeof(v));
+    EXPECT_EQ(v, static_cast<double>(kVersions)) << "chunk " << q;
+  }
 }
 
 }  // namespace

@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -477,7 +481,20 @@ TEST(Compression, ExtendWritesNoDataBytes) {
   });
 }
 
-TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequest) {
+/// True when chunks [0, n) hash to more than one of the cache's shards,
+/// so a flush that batched per shard would send more than one batch.
+bool spans_shards(const ChunkCache& cache, std::uint64_t n) {
+  for (std::uint64_t q = 1; q < n; ++q) {
+    if (cache.shard_index(q) != cache.shard_index(0)) return true;
+  }
+  return false;
+}
+
+/// N adjacent dirty chunks cost exactly one data write request, for
+/// compressed and raw arrays, sync and async caches, on a first
+/// allocation and on an in-place rewrite. Capacity is 2N frames per
+/// shard, so no chunk is evicted (and written) before the flush.
+void expect_flush_is_one_write_request(int shards) {
   constexpr std::uint64_t kN = 8;
   for (const bool compressed : {true, false}) {
     for (const int io_threads : {0, 2}) {
@@ -487,9 +504,13 @@ TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequest) {
       DrxFile f = make_compressed(Shape{4, 4 * kN}, Shape{4, 4}, o);
       ASSERT_EQ(f.metadata().mapping.total_chunks(), kN);
       const std::string what = std::string(compressed ? "compressed" : "raw") +
-                               ", io_threads " + std::to_string(io_threads);
+                               ", io_threads " + std::to_string(io_threads) +
+                               ", shards " + std::to_string(shards);
       {
-        ChunkCache cache(f, 2 * kN, ChunkCache::AsyncOptions{io_threads, 0, 1});
+        ChunkCache cache(f, 2 * kN * static_cast<std::size_t>(shards),
+                         ChunkCache::AsyncOptions{io_threads, 0, shards});
+        ASSERT_EQ(cache.shard_count(), static_cast<std::size_t>(shards));
+        ASSERT_EQ(spans_shards(cache, kN), shards > 1) << what;
         // Round 0 allocates every slot; round 1 rewrites them in place.
         for (int round = 0; round < 2; ++round) {
           dirty_chunks(cache, kN, 100.0 * (round + 1));
@@ -499,6 +520,7 @@ TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequest) {
           EXPECT_EQ(io.write_requests - before, 1u)
               << what << ", round " << round;
         }
+        EXPECT_EQ(cache.stats().evictions, 0u) << what;
       }
       std::vector<std::byte> chunk(checked_size(f.chunk_bytes()));
       for (std::uint64_t q = 0; q < kN; ++q) {
@@ -511,13 +533,29 @@ TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequest) {
   }
 }
 
-TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrder) {
+TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequest) {
+  expect_flush_is_one_write_request(1);
+}
+
+TEST(Compression, FlushOfAdjacentDirtyChunksIsOneWriteRequestOn8Shards) {
+  // The shards split addresses by hash; one flush still sends one batch.
+  expect_flush_is_one_write_request(8);
+}
+
+/// Slots one flush hands out are packed back to back in address order:
+/// tight on first allocation, with headroom when every chunk outgrows
+/// its slot and relocates at once — and the relocation is one request.
+void expect_relocations_in_address_order(int shards, int io_threads) {
   constexpr std::uint64_t kN = 8;
+  const std::string what = "shards " + std::to_string(shards) +
+                           ", io_threads " + std::to_string(io_threads);
   DrxFile f = make_compressed(
       Shape{8, 8 * kN}, Shape{8, 8},
       compressed_opts(codec::CodecId::kBitPack, ElementType::kInt64));
   const std::uint64_t cb = f.chunk_bytes();
-  ChunkCache cache(f, 2 * kN, ChunkCache::AsyncOptions{0, 0, 1});
+  ChunkCache cache(f, 2 * kN * static_cast<std::size_t>(shards),
+                   ChunkCache::AsyncOptions{io_threads, 0, shards});
+  ASSERT_EQ(spans_shards(cache, kN), shards > 1) << what;
   const auto fill = [&](std::int64_t spread) {
     // Reverse address order: the batch must sort, not trust its input.
     for (std::uint64_t q = kN; q-- > 0;) {
@@ -537,10 +575,12 @@ TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrder) {
   ASSERT_TRUE(cache.flush().is_ok());
   for (std::uint64_t q = 0; q < kN; ++q) {
     const ChunkSlot& slot = f.metadata().chunk_table[q];
-    EXPECT_EQ(slot.capacity, std::min(cb, round_up_64(slot.stored))) << q;
+    EXPECT_EQ(slot.capacity, std::min(cb, round_up_64(slot.stored)))
+        << what << ", chunk " << q;
     if (q > 0) {
       const ChunkSlot& prev = f.metadata().chunk_table[q - 1];
-      EXPECT_EQ(slot.offset, prev.offset + prev.capacity) << q;
+      EXPECT_EQ(slot.offset, prev.offset + prev.capacity)
+          << what << ", chunk " << q;
     }
   }
   // 12-bit values outgrow every slot: all kN chunks relocate at once.
@@ -548,18 +588,19 @@ TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrder) {
   const std::uint64_t before = mem(f.data_storage()).stats().write_requests;
   fill(4000);
   ASSERT_TRUE(cache.flush().is_ok());
-  EXPECT_EQ(mem(f.data_storage()).stats().write_requests - before, 1u);
+  EXPECT_EQ(mem(f.data_storage()).stats().write_requests - before, 1u)
+      << what;
   std::uint64_t expect_offset = end_before;
   for (std::uint64_t q = 0; q < kN; ++q) {
     const ChunkSlot& slot = f.metadata().chunk_table[q];
-    EXPECT_EQ(slot.offset, expect_offset) << "chunk " << q;
+    EXPECT_EQ(slot.offset, expect_offset) << what << ", chunk " << q;
     // Grown chunks get headroom for their next growth.
     EXPECT_GE(slot.capacity,
               std::min<std::uint64_t>(cb, slot.stored + slot.stored / 8))
-        << q;
+        << what << ", chunk " << q;
     expect_offset = slot.offset + slot.capacity;
   }
-  EXPECT_EQ(f.metadata().data_end, expect_offset);
+  EXPECT_EQ(f.metadata().data_end, expect_offset) << what;
 
   auto reopened =
       DrxFile::open(copy_of(f.meta_storage()), copy_of(f.data_storage()));
@@ -569,14 +610,26 @@ TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrder) {
     ASSERT_TRUE(reopened.value().read_chunk(q, chunk).is_ok());
     std::int64_t v = 0;
     std::memcpy(&v, chunk.data() + 5 * sizeof(v), sizeof(v));
-    EXPECT_EQ(v, static_cast<std::int64_t>(q) + 5 * 37 % 4001) << q;
+    EXPECT_EQ(v, static_cast<std::int64_t>(q) + 5 * 37 % 4001)
+        << what << ", chunk " << q;
+  }
+}
+
+TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrder) {
+  expect_relocations_in_address_order(1, 0);
+}
+
+TEST(Compression, RelocationsFromOneFlushAreContiguousInAddressOrderOn8Shards) {
+  for (const int io_threads : {0, 2}) {
+    expect_relocations_in_address_order(8, io_threads);
   }
 }
 
 TEST(Compression, BatchedFlushNeverStarvesConcurrentPins) {
-  // A flush batch claims at most half of the shard, so on a 4-frame cache
-  // one concurrent demand pin always finds a frame. Read-ahead is off:
-  // its reservations are a separate claim on the pool.
+  // A flush claims every unpinned dirty frame — here all 4 frames of the
+  // cache — and a concurrent demand pin that finds nothing to evict waits
+  // for the claims instead of failing. Read-ahead is off: its
+  // reservations are a separate claim on the pool.
   DrxFile file = make_compressed(Shape{16, 16}, Shape{2, 2});
   constexpr std::uint64_t kDirty = 4;
   constexpr int kRounds = 200;
@@ -619,6 +672,168 @@ TEST(Compression, BatchedFlushNeverStarvesConcurrentPins) {
     double v = 0;
     std::memcpy(&v, chunk.data(), sizeof(v));
     EXPECT_EQ(v, static_cast<double>(kRounds - 1)) << "chunk " << q;
+  }
+}
+
+/// MemStorage whose writes can be held: while `hold` is set, a write
+/// counts itself in `held` and waits until `hold` is cleared. A flush
+/// held there owns its claims, which makes the claim window observable.
+class HeldWriteStorage final : public pfs::Storage {
+ public:
+  struct Controls {
+    std::atomic<bool> hold{false};
+    std::atomic<int> held{0};
+  };
+
+  explicit HeldWriteStorage(Controls& controls) : controls_(&controls) {}
+
+  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    return inner_.read_at(offset, out);
+  }
+  Status write_at(std::uint64_t offset,
+                  std::span<const std::byte> data) override {
+    if (controls_->hold.load()) {
+      ++controls_->held;
+      while (controls_->hold.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return inner_.write_at(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  Status truncate(std::uint64_t new_size) override {
+    return inner_.truncate(new_size);
+  }
+  Status flush() override { return Status::ok(); }
+  [[nodiscard]] const pfs::IoStats& stats() const { return inner_.stats(); }
+
+ private:
+  Controls* controls_;
+  pfs::MemStorage inner_;
+};
+
+DrxFile make_held(HeldWriteStorage::Controls& controls) {
+  auto f = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                           std::make_unique<HeldWriteStorage>(controls),
+                           Shape{16, 16}, Shape{2, 2}, compressed_opts());
+  EXPECT_TRUE(f.is_ok()) << f.status();
+  return std::move(f).value();
+}
+
+// The helpers below abort on a missed deadline: a call still blocked
+// after 10 s is a deadlock, and the test cannot unwind past a blocked
+// thread, so it reports and stops instead of hanging.
+[[noreturn]] void deadlocked(const char* what) {
+  std::fprintf(stderr, "%s: no progress within 10 s (deadlock)\n", what);
+  std::abort();
+}
+
+template <typename Pred>
+void wait_until(Pred done, const char* what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) deadlocked(what);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+template <typename T>
+T get_within_deadline(std::future<T>& f, const char* what) {
+  if (f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    deadlocked(what);
+  }
+  return f.get();
+}
+
+TEST(Compression, FlushOfAFullShardIsOneRequestAndPinsWaitForIt) {
+  // Every frame of a 1-shard, 4-frame cache is dirty, so the flush claims
+  // them all. Demand pins that arrive while its write is in flight find
+  // nothing to evict; they wait for the release and then all succeed.
+  for (const int io_threads : {0, 2}) {
+    HeldWriteStorage::Controls controls;
+    DrxFile file = make_held(controls);
+    const HeldWriteStorage& data =
+        static_cast<const HeldWriteStorage&>(file.data_storage());
+    ChunkCache cache(file, 4, ChunkCache::AsyncOptions{io_threads, 0, 1});
+    dirty_chunks(cache, 4, 1.0);
+    const std::uint64_t writes_before = data.stats().write_requests;
+    controls.hold = true;
+    auto flushed = std::async(std::launch::async, [&] { return cache.flush(); });
+    wait_until([&] { return controls.held.load() == 1; }, "flush write");
+    constexpr int kReaders = 2;
+    constexpr int kPins = 50;
+    std::atomic<int> started{0};
+    std::vector<std::future<int>> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.push_back(std::async(std::launch::async, [&cache, &started, r] {
+        ++started;
+        int ok = 0;
+        for (int i = 0; i < kPins; ++i) {
+          // Chunks 32..63 of 64: never dirty, never resident before.
+          const auto q = static_cast<std::uint64_t>(32 + 16 * r + i % 16);
+          auto p = cache.pin(q, /*writable=*/false);
+          if (!p.is_ok()) continue;
+          cache.unpin(q, /*dirty=*/false, /*writable=*/false);
+          ++ok;
+        }
+        return ok;
+      }));
+    }
+    // Give both readers time to park on the claims. (Waiting on cache
+    // state instead would take a shard lock the flush may hold.)
+    wait_until([&] { return started.load() == kReaders; }, "readers");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    controls.hold = false;
+    EXPECT_TRUE(get_within_deadline(flushed, "flush").is_ok());
+    for (auto& r : readers) {
+      EXPECT_EQ(get_within_deadline(r, "demand pins"), kPins)
+          << "io_threads " << io_threads;
+    }
+    EXPECT_EQ(data.stats().write_requests - writes_before, 1u)
+        << "io_threads " << io_threads;
+  }
+}
+
+TEST(Compression, PinHolderAndFlushNeverDeadlock) {
+  // T holds a writable pin on dirty chunk X while a flush claims the
+  // other three frames; T then pins Y, which needs one of those frames.
+  // The flush must release its claims before it waits for X, or T (waiting
+  // for the claims) and the flush (waiting for X) block each other.
+  for (const int io_threads : {0, 2}) {
+    HeldWriteStorage::Controls controls;
+    DrxFile file = make_held(controls);
+    ChunkCache cache(file, 4, ChunkCache::AsyncOptions{io_threads, 0, 1});
+    dirty_chunks(cache, 4, 1.0);
+    constexpr std::uint64_t kX = 0;
+    constexpr std::uint64_t kY = 40;
+    auto x = cache.pin(kX, /*writable=*/true);
+    ASSERT_TRUE(x.is_ok()) << x.status();
+
+    controls.hold = true;
+    auto flushed = std::async(std::launch::async, [&] { return cache.flush(); });
+    wait_until([&] { return controls.held.load() == 1; }, "flush write");
+    auto pinned_y = std::async(std::launch::async, [&] {
+      auto y = cache.pin(kY, /*writable=*/false);
+      if (y.is_ok()) cache.unpin(kY, /*dirty=*/false, /*writable=*/false);
+      return y.status();
+    });
+    // Give the pin of Y time to park on the claims.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    controls.hold = false;
+    EXPECT_TRUE(get_within_deadline(pinned_y, "pin of Y").is_ok())
+        << "io_threads " << io_threads;
+    // Only now does T release X; the flush then writes it too.
+    const double v = 9.0;
+    std::memcpy(x.value().data(), &v, sizeof(v));
+    cache.unpin(kX, /*dirty=*/true, /*writable=*/true);
+    EXPECT_TRUE(get_within_deadline(flushed, "flush").is_ok())
+        << "io_threads " << io_threads;
+    std::vector<std::byte> chunk(checked_size(file.chunk_bytes()));
+    ASSERT_TRUE(file.read_chunk(kX, chunk).is_ok());
+    double back = 0;
+    std::memcpy(&back, chunk.data(), sizeof(back));
+    EXPECT_EQ(back, v) << "io_threads " << io_threads;
   }
 }
 
