@@ -683,30 +683,21 @@ restart:
   }
 
   fault_timer.stop();
+  // Split fault: fetch the stored bytes under the io mutex, decode
+  // outside it — codec work must never serialize concurrent I/O. The
+  // reserved frame (loading=true) gives this thread exclusive ownership
+  // of `buffer`, so decoding into it lock-free is safe.
+  std::vector<std::byte> stored;
+  std::vector<DrxFile::StoredRef> refs;
   Status st;
-  if (file_->compressed()) {
-    // Split fault: fetch the stored bytes under the io mutex, decode
-    // outside it — codec work must never serialize concurrent I/O. The
-    // reserved frame (loading=true) gives this thread exclusive
-    // ownership of `buffer`, so decoding into it lock-free is safe.
-    std::vector<std::byte> stored;
-    DrxFile::EncodedChunk enc;
-    {
-      util::MutexLock io(io_mu_);
-      auto r = file_->read_chunk_stored(address, stored);
-      if (r.is_ok()) {
-        enc = r.value();
-      } else {
-        st = r.status();
-      }
-    }
-    if (st.is_ok()) {
-      st = file_->decode_chunk(enc.codec, enc.bytes,
-                               std::span<std::byte>(buffer, cb));
-    }
-  } else {
+  {
     util::MutexLock io(io_mu_);
-    st = file_->read_chunk(address, std::span<std::byte>(buffer, cb));
+    st = file_->read_chunks_stored(address, 1, stored, refs);
+  }
+  if (st.is_ok()) {
+    st = decode_chunk(file_->metadata(), refs[0].codec,
+                      refs[0].bytes_in(stored),
+                      std::span<std::byte>(buffer, cb));
   }
 
   lock.lock();
@@ -876,28 +867,20 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
   const std::size_t cb = chunk_size();
   const std::size_t total = checked_size(count) * cb;
   auto staging = std::make_unique<std::byte[]>(total);
+  // Fetch stored bytes under the io mutex, decode into staging outside
+  // it: frames are published already-decoded, so readers never pay codec
+  // latency, and decode overlaps concurrent I/O.
+  std::vector<std::byte> stored;
+  std::vector<DrxFile::StoredRef> refs;
   Status st;
-  if (file_->compressed()) {
-    // Fetch stored bytes under the io mutex, decompress into staging
-    // outside it: frames are published already-decoded, so readers
-    // never pay codec latency, and decode overlaps concurrent I/O.
-    std::vector<std::byte> stored;
-    std::vector<DrxFile::StoredRef> refs;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->read_chunks_stored(first, count, stored, refs);
-    }
-    for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
-      st = file_->decode_chunk(
-          refs[i].codec,
-          std::span<const std::byte>(stored.data() + refs[i].offset,
-                                     refs[i].size),
-          std::span<std::byte>(staging.get() + i * cb, cb));
-    }
-  } else {
+  {
     util::MutexLock io(io_mu_);
-    st = file_->read_chunks(first, count,
-                            std::span<std::byte>(staging.get(), total));
+    st = file_->read_chunks_stored(first, count, stored, refs);
+  }
+  for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
+    st = decode_chunk(file_->metadata(), refs[i].codec,
+                      refs[i].bytes_in(stored),
+                      std::span<std::byte>(staging.get() + i * cb, cb));
   }
   std::uint64_t participating = 0;
   for (std::uint64_t i = 0; i < count; ++i) {

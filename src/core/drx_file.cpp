@@ -338,60 +338,14 @@ Status DrxFile::scan_read_all(MemoryOrder order, std::span<std::byte> out) {
 
 Status DrxFile::read_chunk(std::uint64_t address, std::span<std::byte> out) {
   DRX_CHECK(out.size() == meta_.chunk_bytes());
-  if (compressed()) {
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::byte> scratch;
-    DRX_ASSIGN_OR_RETURN(EncodedChunk enc, read_chunk_stored(address, scratch));
-    DRX_RETURN_IF_ERROR(decode_chunk(enc.codec, enc.bytes, out));
-    record_effective_read_bw(out.size(), start);
-    return Status::ok();
-  }
-  static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add();
-  obs::registry().counter(kBytes).add(out.size());
-  obs::profile_chunk(obs::ChunkOp::kRead, address, out.size());
-  obs::ScopedSpan span("core.read_chunk", "core", out.size());
-  obs::StageTimer io(obs::Stage::kIoService);
-  return data_->read_at(checked_mul(address, meta_.chunk_bytes()), out);
-}
-
-Status DrxFile::read_chunks(std::uint64_t first_address, std::uint64_t count,
-                            std::span<std::byte> out) {
-  DRX_CHECK(out.size() == checked_mul(count, meta_.chunk_bytes()));
-  if (count == 0) return Status::ok();
-  if (compressed()) {
-    const auto start = std::chrono::steady_clock::now();
-    const std::size_t cb = checked_size(meta_.chunk_bytes());
-    std::vector<std::byte> scratch;
-    std::vector<StoredRef> refs;
-    DRX_RETURN_IF_ERROR(read_chunks_stored(first_address, count, scratch, refs));
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      DRX_RETURN_IF_ERROR(decode_chunk(
-          refs[i].codec,
-          std::span<const std::byte>(scratch.data() + refs[i].offset,
-                                     refs[i].size),
-          out.subspan(i * cb, cb)));
-    }
-    record_effective_read_bw(out.size(), start);
-    return Status::ok();
-  }
-  static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
-  static const obs::MetricId kBatches =
-      obs::counter_id("core.chunk_read_batches");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add(count);
-  obs::registry().counter(kBatches).add();
-  obs::registry().counter(kBytes).add(out.size());
-  if (obs::profile_enabled()) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::profile_chunk(obs::ChunkOp::kRead, first_address + i,
-                         meta_.chunk_bytes());
-    }
-  }
-  obs::ScopedSpan span("core.read_chunks_batch", "core", out.size());
-  obs::StageTimer io(obs::Stage::kIoService);
-  return data_->read_at(checked_mul(first_address, meta_.chunk_bytes()), out);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::byte> scratch;
+  std::vector<StoredRef> refs;
+  DRX_RETURN_IF_ERROR(read_chunks_stored(address, 1, scratch, refs));
+  DRX_RETURN_IF_ERROR(
+      decode_chunk(meta_, refs[0].codec, refs[0].bytes_in(scratch), out));
+  record_effective_read_bw(out.size(), start);
+  return Status::ok();
 }
 
 void DrxFile::prefetch_box(const Box& box) {
@@ -481,13 +435,12 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
       obs::counter_id("core.codec.slot_relocations");
   static const obs::MetricId kFrag = obs::counter_id("core.codec.frag_bytes");
 
-  // Place every chunk: (offset, reserved bytes) plus, on a compressed
-  // array, the slot it will own once its bytes are on storage.
+  // Place every chunk in the slot it will own once its bytes are on
+  // storage. A v1 chunk always fits its implicit slot, so it is rewritten
+  // in place.
   struct Piece {
-    std::uint64_t offset = 0;
-    std::uint64_t capacity = 0;
     std::size_t entry = 0;  ///< index into batch
-    ChunkSlot slot;         ///< compressed arrays only
+    ChunkSlot slot;
   };
   std::vector<Piece> pieces(batch.size());
   std::uint64_t live = 0;
@@ -497,12 +450,8 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
     const std::uint64_t stored = w.chunk.bytes.size();
     live += stored;
     obs::profile_chunk(obs::ChunkOp::kWrite, w.address, cb);
-    if (!compressed()) {
-      sample_write_entropy(w.chunk.bytes);
-      pieces[i] = Piece{checked_mul(w.address, cb), cb, i, ChunkSlot{}};
-      continue;
-    }
-    ChunkSlot slot = meta_.chunk_table[w.address];
+    if (!compressed()) sample_write_entropy(w.chunk.bytes);
+    ChunkSlot slot = meta_.slot(w.address);
     if (stored > slot.capacity) {
       // Doesn't fit (or never written): a fresh slot at the end of the
       // file, handed out in address order; an outgrown slot leaks
@@ -513,13 +462,13 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
         obs::registry().counter(kFrag).add(slot.capacity);
       }
       slot.offset = next;
-      slot.capacity = static_cast<std::uint32_t>(
-          grown ? grown_capacity(stored, cb) : first_capacity(stored, cb));
+      slot.capacity =
+          grown ? grown_capacity(stored, cb) : first_capacity(stored, cb);
       next = checked_add(next, slot.capacity);
     }
-    slot.stored = static_cast<std::uint32_t>(stored);  // <= cb, fits
+    slot.stored = stored;
     slot.codec = static_cast<std::uint8_t>(w.chunk.codec);
-    pieces[i] = Piece{slot.offset, slot.capacity, i, slot};
+    pieces[i] = Piece{i, slot};
   }
   const auto n = static_cast<std::uint64_t>(batch.size());
   obs::registry().counter(kWrites).add(n);
@@ -529,7 +478,7 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
     obs::registry().counter(kStored).add(live);
     std::sort(pieces.begin(), pieces.end(),
               [](const Piece& a, const Piece& b) {
-                return a.offset < b.offset;
+                return a.slot.offset < b.slot.offset;
               });
   }
 
@@ -542,10 +491,11 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
   for (std::size_t i = 0; i < pieces.size();) {
     std::size_t j = i + 1;
     while (j < pieces.size() &&
-           pieces[j].offset == pieces[j - 1].offset + pieces[j - 1].capacity) {
+           pieces[j].slot.offset ==
+               pieces[j - 1].slot.offset + pieces[j - 1].slot.capacity) {
       ++j;
     }
-    const std::uint64_t base = pieces[i].offset;
+    const std::uint64_t base = pieces[i].slot.offset;
     const auto bytes_of = [&](std::size_t k) {
       return batch[pieces[k].entry].chunk.bytes;
     };
@@ -553,10 +503,11 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
       DRX_RETURN_IF_ERROR(data_->write_at(base, bytes_of(i)));
     } else {
       staging.assign(
-          checked_size(pieces[j - 1].offset - base + bytes_of(j - 1).size()),
+          checked_size(pieces[j - 1].slot.offset - base +
+                       bytes_of(j - 1).size()),
           std::byte{0});
       for (std::size_t k = i; k < j; ++k) {
-        std::memcpy(staging.data() + (pieces[k].offset - base),
+        std::memcpy(staging.data() + (pieces[k].slot.offset - base),
                     bytes_of(k).data(), bytes_of(k).size());
       }
       DRX_RETURN_IF_ERROR(data_->write_at(base, staging));
@@ -580,49 +531,10 @@ Status DrxFile::write_chunks(std::span<ChunkWrite> batch) {
   return Status::ok();
 }
 
-Result<DrxFile::EncodedChunk> DrxFile::read_chunk_stored(
-    std::uint64_t address, std::vector<std::byte>& scratch) {
-  const std::uint64_t cb = meta_.chunk_bytes();
-  static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add();
-  obs::registry().counter(kBytes).add(cb);  // logical bytes, as ever
-  obs::profile_chunk(obs::ChunkOp::kRead, address, checked_size(cb));
-  if (!compressed()) {
-    scratch.resize(checked_size(cb));
-    obs::ScopedSpan span("core.read_chunk", "core", scratch.size());
-    obs::StageTimer io(obs::Stage::kIoService);
-    DRX_RETURN_IF_ERROR(data_->read_at(checked_mul(address, cb), scratch));
-    return EncodedChunk{codec::CodecId::kNone,
-                        std::span<const std::byte>(scratch)};
-  }
-  if (address >= meta_.chunk_table.size()) {
-    return Status(ErrorCode::kOutOfRange, "chunk address out of range");
-  }
-  const ChunkSlot& slot = meta_.chunk_table[address];
-  if (slot.unwritten()) {
-    // Never written: empty bytes, which decode_chunk turns into zeros.
-    scratch.clear();
-    return EncodedChunk{codec::CodecId::kNone, std::span<const std::byte>()};
-  }
-  // Read through the slot's reserved capacity when those bytes exist on
-  // disk, as read_chunks_stored does for a batch: the head then rests
-  // where the next slot starts, so a fault followed by a fault or a
-  // read-ahead of the next address costs no seek.
-  const std::uint64_t reserved =
-      std::min<std::uint64_t>(slot.capacity, data_->size() - slot.offset);
-  scratch.resize(checked_size(std::max<std::uint64_t>(slot.stored, reserved)));
-  obs::ScopedSpan span("core.read_chunk", "core", slot.stored);
-  obs::StageTimer io(obs::Stage::kIoService);
-  DRX_RETURN_IF_ERROR(data_->read_at(slot.offset, scratch));
-  return EncodedChunk{static_cast<codec::CodecId>(slot.codec),
-                      std::span<const std::byte>(scratch.data(), slot.stored)};
-}
-
-Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
-                             std::span<const std::byte> stored,
-                             std::span<std::byte> raw) const {
-  DRX_CHECK(raw.size() == meta_.chunk_bytes());
+Status decode_chunk(const Metadata& meta, codec::CodecId chunk_codec,
+                    std::span<const std::byte> stored,
+                    std::span<std::byte> raw) {
+  DRX_CHECK(raw.size() == meta.chunk_bytes());
   if (stored.empty()) {  // an unwritten chunk
     std::memset(raw.data(), 0, raw.size());
     return Status::ok();
@@ -632,8 +544,8 @@ Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
   Status st;
   {
     obs::ScopedTimer timer(kDecodeUs);
-    st = codec::decode(chunk_codec, stored, checked_size(element_bytes()),
-                       raw);
+    st = codec::decode(chunk_codec, stored,
+                       checked_size(meta.element_bytes()), raw);
   }
   if (!st.is_ok() && obs::flight_enabled()) {
     // Same discipline as deferred write-back errors: capture the causal
@@ -654,92 +566,83 @@ Status DrxFile::read_chunks_stored(std::uint64_t first_address,
   refs.clear();
   scratch.clear();
   if (count == 0) return Status::ok();
-  const std::uint64_t cb = meta_.chunk_bytes();
-  if (!compressed()) {
-    scratch.resize(checked_size(checked_mul(count, cb)));
-    DRX_RETURN_IF_ERROR(read_chunks(first_address, count, scratch));
-    refs.reserve(checked_size(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      refs.push_back(StoredRef{codec::CodecId::kNone,
-                               checked_size(checked_mul(i, cb)),
-                               static_cast<std::uint32_t>(cb)});
-    }
-    return Status::ok();
-  }
-  if (first_address + count > meta_.chunk_table.size()) {
+  const std::uint64_t total = meta_.mapping.total_chunks();
+  if (first_address >= total || count > total - first_address) {
     return Status(ErrorCode::kOutOfRange, "chunk range out of range");
   }
+  const std::uint64_t cb = meta_.chunk_bytes();
   static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
   static const obs::MetricId kBatches =
       obs::counter_id("core.chunk_read_batches");
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
   obs::registry().counter(kReads).add(count);
   obs::registry().counter(kBatches).add();
-  obs::registry().counter(kBytes).add(checked_mul(count, cb));
+  obs::registry().counter(kBytes).add(checked_mul(count, cb));  // logical
   if (obs::profile_enabled()) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      obs::profile_chunk(obs::ChunkOp::kRead, first_address + i,
-                         checked_size(cb));
+      obs::profile_chunk(obs::ChunkOp::kRead, first_address + i, cb);
     }
   }
 
-  // Slots of consecutive addresses are usually physically consecutive
-  // (write_chunks allocates them in address order): fetch the whole byte
-  // span in one request when it is dense enough, else fall back to one
-  // request per chunk packed tight into the scratch buffer. Unwritten
-  // slots take no part (their empty refs decode to zeros).
+  // Slots of consecutive addresses are usually physically consecutive (F*
+  // on a v1 array; write_chunks allocates them in address order on a
+  // compressed one): fetch the whole byte span in one request when it is
+  // dense enough, else fall back to one request per chunk packed tight
+  // into the scratch buffer. Unwritten slots take no part (their empty
+  // refs decode to zeros).
+  std::vector<ChunkSlot> slots(checked_size(count));
   std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t hi = 0;
   std::uint64_t hi_cap = 0;
   std::uint64_t live = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ChunkSlot& s = meta_.chunk_table[first_address + i];
+  std::uint64_t written = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const ChunkSlot& s = slots[i] = meta_.slot(first_address + i);
     if (s.unwritten()) continue;
     lo = std::min(lo, s.offset);
     hi = std::max(hi, s.offset + s.stored);
     hi_cap = std::max(hi_cap, s.offset + s.capacity);
     live += s.stored;
+    ++written;
   }
-  // Read through the last slot's capacity slack (when those bytes exist on
-  // disk) so consecutive batch reads over a packed layout stay
-  // head-contiguous — a streaming scan then costs one seek total, not one
-  // per batch.
-  refs.reserve(checked_size(count));
-  if (live == 0) {  // every chunk unwritten: no I/O at all
-    refs.assign(checked_size(count), StoredRef{});
+  refs.reserve(slots.size());
+  if (written == 0) {  // every chunk unwritten: no I/O at all
+    refs.assign(slots.size(), StoredRef{});
     return Status::ok();
   }
-  hi = std::max(hi, std::min(hi_cap, data_->size()));
+  // Read through the last slot's capacity slack (when those bytes exist on
+  // disk) so a fault or batch followed by a read of the next address stays
+  // head-contiguous — a streaming scan then costs one seek total, not one
+  // per request.
+  if (hi_cap > hi) hi = std::max(hi, std::min(hi_cap, data_->size()));
   const std::uint64_t span_bytes = hi - lo;
-  obs::ScopedSpan span("core.read_chunks_batch", "core",
-                       checked_size(live));
-  if (live * 2 >= span_bytes) {
+  obs::ScopedSpan span("core.read_chunks", "core", checked_size(live));
+  obs::StageTimer io(obs::Stage::kIoService);
+  // A single slot is one request either way, padding included.
+  if (written == 1 || live * 2 >= span_bytes) {
     scratch.resize(checked_size(span_bytes));
-    obs::StageTimer io(obs::Stage::kIoService);
     DRX_RETURN_IF_ERROR(data_->read_at(lo, scratch));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const ChunkSlot& s = meta_.chunk_table[first_address + i];
+    for (const ChunkSlot& s : slots) {
       refs.push_back(s.unwritten()
                          ? StoredRef{}
                          : StoredRef{static_cast<codec::CodecId>(s.codec),
-                                     checked_size(s.offset - lo), s.stored});
+                                     checked_size(s.offset - lo),
+                                     checked_size(s.stored)});
     }
     return Status::ok();
   }
   scratch.resize(checked_size(live));
   std::size_t pos = 0;
-  obs::StageTimer io(obs::Stage::kIoService);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ChunkSlot& s = meta_.chunk_table[first_address + i];
+  for (const ChunkSlot& s : slots) {
     if (s.unwritten()) {
       refs.push_back(StoredRef{});
       continue;
     }
+    const std::size_t n = checked_size(s.stored);
     DRX_RETURN_IF_ERROR(data_->read_at(
-        s.offset, std::span<std::byte>(scratch.data() + pos, s.stored)));
-    refs.push_back(StoredRef{static_cast<codec::CodecId>(s.codec), pos,
-                             s.stored});
-    pos += s.stored;
+        s.offset, std::span<std::byte>(scratch.data() + pos, n)));
+    refs.push_back(StoredRef{static_cast<codec::CodecId>(s.codec), pos, n});
+    pos += n;
   }
   return Status::ok();
 }

@@ -26,6 +26,15 @@
 
 namespace drx::core {
 
+/// Decodes one chunk's stored bytes into exactly meta.chunk_bytes() raw
+/// bytes; empty `stored` bytes (an unwritten chunk) decode to zeros. Pure
+/// CPU; safe from any thread with no lock held. A malformed stream
+/// returns kCorrupt (and dumps the flight recorder).
+[[nodiscard]] Status decode_chunk(const Metadata& meta,
+                                  codec::CodecId chunk_codec,
+                                  std::span<const std::byte> stored,
+                                  std::span<std::byte> raw);
+
 class DrxFile {
  public:
   struct Options {
@@ -121,15 +130,21 @@ class DrxFile {
   [[nodiscard]] std::uint64_t chunk_bytes() const {
     return meta_.chunk_bytes();
   }
+  /// Reads and decodes one chunk: a read_chunks_stored batch of one
+  /// plus decode_chunk.
   [[nodiscard]] Status read_chunk(std::uint64_t address, std::span<std::byte> out);
   /// Encodes and stores one raw chunk: a write_chunks batch of one.
   [[nodiscard]] Status write_chunk(std::uint64_t address, std::span<const std::byte> in);
 
   // ---- split codec / storage API (docs/COMPRESSION.md) ------------------
-  // read_chunk/write_chunk above compose these for compressed arrays.
-  // Layers that serialize storage access behind their own lock
-  // (ChunkCache's io mutex) call the split halves directly so encode/
-  // decode — pure CPU work — runs OUTSIDE that lock and overlaps I/O.
+  // One read primitive and one write primitive move stored bytes; every
+  // chunk transfer, v1 or v2, goes through them, and read_chunk /
+  // write_chunk above are batches of one. On a v1 array every chunk is
+  // identity-coded at its implicit slot (Metadata::slot). Layers that
+  // serialize storage access behind their own lock (ChunkCache's io
+  // mutex) call the primitives and the codec halves separately, so
+  // encode/decode — pure CPU work — runs OUTSIDE that lock and overlaps
+  // I/O.
 
   [[nodiscard]] bool compressed() const noexcept { return meta_.compressed(); }
   [[nodiscard]] codec::CodecId codec() const noexcept { return meta_.codec; }
@@ -147,7 +162,12 @@ class DrxFile {
   struct StoredRef {
     codec::CodecId codec = codec::CodecId::kNone;
     std::size_t offset = 0;  ///< byte offset into the scratch buffer
-    std::uint32_t size = 0;  ///< stored bytes
+    std::size_t size = 0;    ///< stored bytes (0: an unwritten chunk)
+
+    [[nodiscard]] std::span<const std::byte> bytes_in(
+        std::span<const std::byte> scratch) const {
+      return scratch.subspan(offset, size);
+    }
   };
 
   /// Encodes a raw chunk with the array codec into `scratch` (resized
@@ -179,26 +199,15 @@ class DrxFile {
   /// other chunk write. Addresses in one batch must be distinct.
   [[nodiscard]] Status write_chunks(std::span<ChunkWrite> batch);
 
-  /// Reads a chunk's stored bytes without decoding (resizes `scratch`;
-  /// the request runs on through the slot's padding so the head stops
-  /// where the next slot starts). An unwritten chunk yields empty bytes
-  /// and costs no I/O.
-  [[nodiscard]] Result<EncodedChunk> read_chunk_stored(
-      std::uint64_t address, std::vector<std::byte>& scratch);
-
-  /// Decodes one stored chunk into exactly chunk_bytes() raw bytes; empty
-  /// `stored` bytes (an unwritten chunk) decode to zeros. Pure CPU; safe
-  /// from any thread with no lock held. A malformed stream returns
-  /// kCorrupt (and dumps the flight recorder).
-  [[nodiscard]] Status decode_chunk(codec::CodecId chunk_codec,
-                                    std::span<const std::byte> stored,
-                                    std::span<std::byte> raw) const;
-
-  /// Stored-side counterpart of read_chunks: fetches `count` chunks at
-  /// consecutive addresses into `scratch`, coalescing neighbouring
-  /// slots into one storage request when the file layout allows, and
-  /// records where each chunk landed in `refs`. Decode the refs with
-  /// `decode_chunk` outside the storage lock.
+  /// The one chunk read primitive: fetches the stored bytes of `count`
+  /// chunks at consecutive addresses from their slots into `scratch`
+  /// and records where each chunk landed in `refs`; decode them with
+  /// `decode_chunk` outside the storage lock. The written slots' byte
+  /// span is one storage request when it holds a single slot or is at
+  /// least half live, else one request per slot. A v1 run is dense, so
+  /// it is always one request. The request runs on through the last
+  /// slot's padding (when those bytes exist) so the head stops where the
+  /// next slot starts. Unwritten chunks get empty refs and cost no I/O.
   [[nodiscard]] Status read_chunks_stored(std::uint64_t first_address,
                                           std::uint64_t count,
                                           std::vector<std::byte>& scratch,
@@ -215,13 +224,6 @@ class DrxFile {
   void gather_chunk(std::span<std::byte> chunk, const Box& clip,
                     const Box& box, MemoryOrder order,
                     std::span<const std::byte> in) const;
-
-  /// Reads `count` chunks at consecutive linear addresses starting at
-  /// `first_address` with ONE storage request (chunk addresses are
-  /// contiguous in the .xta by construction) — the coalescing primitive
-  /// behind sequential read-ahead. `out` must hold count * chunk_bytes().
-  [[nodiscard]] Status read_chunks(std::uint64_t first_address, std::uint64_t count,
-                     std::span<std::byte> out);
 
   // ---- prefetch hints (docs/ASYNC_IO.md) --------------------------------
   // Layers that know future access patterns announce them here; a cache

@@ -4,11 +4,9 @@
 #include <array>
 #include <cstring>
 #include <future>
-#include <numeric>
 
 #include "io/async_pool.hpp"
 #include "io/config.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
 #include "obs/profile.hpp"
@@ -28,6 +26,24 @@ std::uint64_t zone_read_batch() {
   if (io::io_threads() <= 0) return 0;
   const std::uint64_t depth = io::prefetch_depth();
   return depth > 0 ? depth : 8;
+}
+
+/// Element box of `proc`'s single BLOCK zone, clipped to the array bounds;
+/// an empty box when `proc` owns no chunks.
+Box block_zone_box(const Metadata& meta, const Distribution& dist, int proc) {
+  const std::vector<Box> zones = dist.zones_of(proc);
+  Box out{Index(meta.rank(), 0), Index(meta.rank(), 0)};
+  if (zones.empty()) return out;
+  DRX_CHECK_MSG(zones.size() == 1,
+                "zone element boxes need a BLOCK distribution");
+  const Box& z = zones.front();
+  for (std::size_t d = 0; d < meta.rank(); ++d) {
+    out.lo[d] = checked_mul(z.lo[d], meta.chunk_shape[d]);
+    out.hi[d] = std::min(checked_mul(z.hi[d], meta.chunk_shape[d]),
+                         meta.element_bounds[d]);
+    out.lo[d] = std::min(out.lo[d], out.hi[d]);
+  }
+  return out;
 }
 }  // namespace
 
@@ -162,184 +178,100 @@ Status DrxMpFile::flush_metadata() {
 }
 
 Box DrxMpFile::zone_element_box(const Distribution& dist, int proc) const {
-  const std::vector<Box> zones = dist.zones_of(proc);
-  Box out{Index(rank(), 0), Index(rank(), 0)};
-  if (zones.empty()) return out;
-  DRX_CHECK_MSG(zones.size() == 1,
-                "zone_element_box requires a BLOCK distribution");
-  const Box& z = zones.front();
-  for (std::size_t d = 0; d < rank(); ++d) {
-    out.lo[d] = checked_mul(z.lo[d], meta_.chunk_shape[d]);
-    out.hi[d] = std::min(checked_mul(z.hi[d], meta_.chunk_shape[d]),
-                         meta_.element_bounds[d]);
-    out.lo[d] = std::min(out.lo[d], out.hi[d]);
-  }
-  return out;
+  return block_zone_box(meta_, dist, proc);
 }
 
 Status DrxMpFile::transfer_chunks(std::span<const Index> chunks,
                                   void* staging, bool collective,
                                   bool writing) {
-  if (meta_.compressed()) {
-    if (writing) {
-      return Status(ErrorCode::kUnsupported,
-                    "compressed DRX-MP arrays are read-only");
-    }
-    return transfer_chunks_compressed(chunks, staging, collective);
+  if (writing && meta_.compressed()) {
+    // Writing a compressed array needs a collective slot allocation,
+    // which DRX-MP does not have.
+    return Status(ErrorCode::kUnsupported,
+                  "compressed DRX-MP arrays are read-only");
   }
   const std::uint64_t cb = chunk_bytes();
   const std::size_t n = chunks.size();
   obs::ScopedSpan span(writing ? "core.write_chunks" : "core.read_chunks",
                        "core", checked_mul(n, cb));
+  const obs::ChunkOp op = writing ? obs::ChunkOp::kWrite : obs::ChunkOp::kRead;
 
-  // Sort by linear address: the file view must be monotonic, and ascending
-  // address order is what makes zone I/O a near-sequential disk scan
-  // (paper Sec. II-A).
-  std::vector<std::uint64_t> addresses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    addresses[i] = meta_.mapping.address_of(chunks[i]);
-  }
-  if (obs::profile_enabled()) {
-    // Heatmap layer: every chunk this rank's zone transfer touches,
-    // attributed to the calling rank (the zone owner).
-    const obs::ChunkOp op =
-        writing ? obs::ChunkOp::kWrite : obs::ChunkOp::kRead;
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::profile_chunk(op, addresses[i], cb);
-    }
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return addresses[a] < addresses[b];
-  });
-
-  std::vector<std::uint64_t> ones(n, 1);
-  std::vector<std::uint64_t> file_displs(n);
-  std::vector<std::uint64_t> mem_displs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    file_displs[i] = checked_mul(addresses[order[i]], cb);
-    mem_displs[i] = checked_mul(order[i], cb);
-  }
-  const simpi::Datatype chunk_type = simpi::Datatype::bytes(cb);
-  const simpi::Datatype filetype =
-      n == 0 ? simpi::Datatype::bytes(0)
-             : simpi::Datatype::hindexed(ones, file_displs, chunk_type);
-  const simpi::Datatype memtype =
-      n == 0 ? simpi::Datatype::bytes(0)
-             : simpi::Datatype::hindexed(ones, mem_displs, chunk_type);
-
-  // With zero chunks a rank still participates in collective calls.
-  data_.set_view(0, simpi::Datatype::bytes(1),
-                 n == 0 ? simpi::Datatype::bytes(1) : filetype);
-  const std::uint64_t count = n == 0 ? 0 : 1;
-  if (writing) {
-    return collective ? data_.write_at_all(0, staging, count, memtype)
-                      : data_.write_at(0, staging, count, memtype);
-  }
-  return collective ? data_.read_at_all(0, staging, count, memtype)
-                    : data_.read_at(0, staging, count, memtype);
-}
-
-Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
-                                             void* staging, bool collective) {
-  const std::uint64_t cb = chunk_bytes();
-  const std::size_t n = chunks.size();
-  obs::ScopedSpan span("core.read_chunks", "core", checked_mul(n, cb));
-
-  std::vector<std::uint64_t> addresses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    addresses[i] = meta_.mapping.address_of(chunks[i]);
-    if (addresses[i] >= meta_.chunk_table.size()) {
-      return Status(ErrorCode::kOutOfRange, "chunk address out of range");
-    }
-  }
-  if (obs::profile_enabled()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::profile_chunk(obs::ChunkOp::kRead, addresses[i], cb);
-    }
-  }
-
-  // Unwritten chunks own no storage: they are zero-filled here and left
-  // out of the view. Sort the rest by slot offset, not by linear address:
-  // rewrites before the array reached DRX-MP may have relocated slots out
-  // of address order, and the MPI file view must be monotonic in file
-  // displacement.
-  auto* out = static_cast<std::byte*>(staging);
+  // Every chunk's slot (on a v1 array the one F* computes). Unwritten
+  // chunks own no storage: they are zero-filled here and left out of the
+  // view.
+  auto* mem = static_cast<std::byte*>(staging);
+  std::vector<ChunkSlot> slots(n);
   std::vector<std::size_t> order;
   order.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (meta_.chunk_table[addresses[i]].unwritten()) {
-      std::memset(out + checked_mul(i, cb), 0, checked_size(cb));
+    const std::uint64_t address = meta_.mapping.address_of(chunks[i]);
+    if (address >= meta_.mapping.total_chunks()) {
+      return Status(ErrorCode::kOutOfRange, "chunk address out of range");
+    }
+    // Heatmap layer: attributed to the calling rank (the zone owner).
+    obs::profile_chunk(op, address, cb);
+    slots[i] = meta_.slot(address);
+    if (slots[i].unwritten()) {
+      std::memset(mem + checked_mul(i, cb), 0, checked_size(cb));
     } else {
       order.push_back(i);
     }
   }
-  const std::size_t stored_n = order.size();
+  // The MPI file view must be monotonic in file displacement, and
+  // ascending offset order is what makes zone I/O a near-sequential disk
+  // scan (paper Sec. II-A). Sort by slot offset, not by linear address:
+  // rewrites by the serial writer may have relocated compressed slots
+  // out of address order.
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return meta_.chunk_table[addresses[a]].offset <
-           meta_.chunk_table[addresses[b]].offset;
+    return slots[a].offset < slots[b].offset;
   });
 
-  // Byte-granular view built from the slot table: block i covers exactly
-  // the stored bytes of the i-th slot in file-offset order, landing packed
-  // in a local compressed buffer.
+  // Byte-granular view built from the slots: block k covers the stored
+  // bytes of the k-th slot in offset order and lands at the head of its
+  // chunk's staging slot — in place for an identity-coded chunk (every v1
+  // chunk), to be decoded below for an encoded one.
+  const std::size_t stored_n = order.size();
   std::vector<std::uint64_t> blocklens(stored_n);
   std::vector<std::uint64_t> file_displs(stored_n);
   std::vector<std::uint64_t> mem_displs(stored_n);
-  std::uint64_t total_stored = 0;
-  for (std::size_t i = 0; i < stored_n; ++i) {
-    const ChunkSlot& slot = meta_.chunk_table[addresses[order[i]]];
-    blocklens[i] = slot.stored;
-    file_displs[i] = slot.offset;
-    mem_displs[i] = total_stored;
-    total_stored = checked_add(total_stored, slot.stored);
+  for (std::size_t k = 0; k < stored_n; ++k) {
+    const ChunkSlot& slot = slots[order[k]];
+    blocklens[k] = slot.stored;
+    file_displs[k] = slot.offset;
+    mem_displs[k] = checked_mul(order[k], cb);
   }
-  std::vector<std::byte> comp(checked_size(total_stored));
-
   const simpi::Datatype byte_type = simpi::Datatype::bytes(1);
-  const simpi::Datatype filetype =
-      stored_n == 0
-          ? simpi::Datatype::bytes(0)
-          : simpi::Datatype::hindexed(blocklens, file_displs, byte_type);
   const simpi::Datatype memtype =
       stored_n == 0
           ? simpi::Datatype::bytes(0)
           : simpi::Datatype::hindexed(blocklens, mem_displs, byte_type);
 
   // With nothing stored a rank still participates in collective calls.
-  data_.set_view(0, byte_type, stored_n == 0 ? byte_type : filetype);
+  data_.set_view(0, byte_type,
+                 stored_n == 0 ? byte_type
+                               : simpi::Datatype::hindexed(
+                                     blocklens, file_displs, byte_type));
   const std::uint64_t count = stored_n == 0 ? 0 : 1;
-  DRX_RETURN_IF_ERROR(collective
-                          ? data_.read_at_all(0, comp.data(), count, memtype)
-                          : data_.read_at(0, comp.data(), count, memtype));
+  if (writing) {
+    return collective ? data_.write_at_all(0, staging, count, memtype)
+                      : data_.write_at(0, staging, count, memtype);
+  }
+  DRX_RETURN_IF_ERROR(collective ? data_.read_at_all(0, staging, count, memtype)
+                                 : data_.read_at(0, staging, count, memtype));
 
   // Decode outside the collective so slow ranks never stall peers inside
-  // the I/O call; each chunk lands at its caller-order staging position.
-  static const obs::MetricId kDecodeUs =
-      obs::histogram_id("core.codec.decode_us");
-  for (std::size_t i = 0; i < stored_n; ++i) {
-    const ChunkSlot& slot = meta_.chunk_table[addresses[order[i]]];
-    Status st;
-    {
-      obs::ScopedTimer timer(kDecodeUs);
-      st = codec::decode(
-          static_cast<codec::CodecId>(slot.codec),
-          std::span<const std::byte>(comp.data() + mem_displs[i],
-                                     slot.stored),
-          checked_size(meta_.element_bytes()),
-          std::span<std::byte>(out + checked_mul(order[i], cb),
-                               checked_size(cb)));
+  // the I/O call, each encoded chunk from a copy of its stored bytes.
+  std::vector<std::byte> stored;
+  for (const std::size_t i : order) {
+    const ChunkSlot& slot = slots[i];
+    if (slot.codec == static_cast<std::uint8_t>(codec::CodecId::kNone)) {
+      continue;
     }
-    if (!st.is_ok()) {
-      if (obs::flight_enabled()) {
-        const Status ds = obs::dump_flight("corrupt-chunk");
-        if (!ds.is_ok()) {
-          DRX_LOG(kError) << "flight dump failed: " << ds.to_string();
-        }
-      }
-      return st;
-    }
+    const std::span<std::byte> raw(mem + checked_mul(i, cb), checked_size(cb));
+    const auto head = raw.first(checked_size(slot.stored));
+    stored.assign(head.begin(), head.end());
+    DRX_RETURN_IF_ERROR(decode_chunk(
+        meta_, static_cast<codec::CodecId>(slot.codec), stored, raw));
   }
   return Status::ok();
 }
@@ -380,17 +312,7 @@ Status DrxMpFile::read_my_zone(const Distribution& dist, MemoryOrder order,
   std::vector<std::byte> staging(
       checked_size(checked_mul(chunks.size(), chunk_bytes())));
   DRX_RETURN_IF_ERROR(read_chunks(chunks, staging, collective));
-
-  obs::StageTimer copy(obs::Stage::kCopy);
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const Box clip = chunk_space_.chunk_box(chunks[i]).intersect(box);
-    if (clip.empty()) continue;
-    plan_cache_->scatter(clip, box, order,
-                         std::span<const std::byte>(staging).subspan(
-                             checked_size(checked_mul(i, chunk_bytes())),
-                             checked_size(chunk_bytes())),
-                         out);
-  }
+  scatter_staged(chunks, staging, box, order, out);
   return Status::ok();
 }
 
@@ -447,19 +369,22 @@ Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,
     // is deadlock-free.
     DRX_RETURN_IF_ERROR(inflight.get());
     if (r + 1 < rounds) inflight = issue(r + 1);
-    const std::span<const Index> part = round_chunks(r);
-    const std::span<const std::byte> buf(staging[r % 2]);
-    obs::StageTimer copy(obs::Stage::kCopy);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      const Box clip = chunk_space_.chunk_box(part[i]).intersect(box);
-      if (clip.empty()) continue;
-      plan_cache_->scatter(
-          clip, box, order,
-          buf.subspan(checked_size(checked_mul(i, cb)), checked_size(cb)),
-          out);
-    }
+    scatter_staged(round_chunks(r), staging[r % 2], box, order, out);
   }
   return Status::ok();
+}
+
+void DrxMpFile::scatter_staged(std::span<const Index> chunks,
+                               std::span<const std::byte> staging,
+                               const Box& box, MemoryOrder order,
+                               std::span<std::byte> out) const {
+  const std::size_t cb = checked_size(chunk_bytes());
+  obs::StageTimer copy(obs::Stage::kCopy);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const Box clip = chunk_space_.chunk_box(chunks[i]).intersect(box);
+    if (clip.empty()) continue;
+    plan_cache_->scatter(clip, box, order, staging.subspan(i * cb, cb), out);
+  }
 }
 
 Status DrxMpFile::write_my_zone(const Distribution& dist, MemoryOrder order,
@@ -520,17 +445,7 @@ Status DrxMpFile::read_box_impl(const Box& box, MemoryOrder order,
   std::vector<std::byte> staging(
       checked_size(checked_mul(chunks.size(), chunk_bytes())));
   DRX_RETURN_IF_ERROR(read_chunks(chunks, staging, collective));
-
-  obs::StageTimer copy(obs::Stage::kCopy);
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const Box clip = chunk_space_.chunk_box(chunks[i]).intersect(box);
-    if (clip.empty()) continue;
-    plan_cache_->scatter(clip, box, order,
-                         std::span<const std::byte>(staging).subspan(
-                             checked_size(checked_mul(i, chunk_bytes())),
-                             checked_size(chunk_bytes())),
-                         out);
-  }
+  scatter_staged(chunks, staging, box, order, out);
   return Status::ok();
 }
 
@@ -626,19 +541,7 @@ GlobalAccessor::GlobalAccessor(simpi::Comm& comm, const Metadata& meta,
   // ranks — derived from replicated metadata).
   zone_boxes_.reserve(static_cast<std::size_t>(comm.size()));
   for (int r = 0; r < comm.size(); ++r) {
-    const std::vector<Box> zones = dist_.zones_of(r);
-    Box out{Index(meta.rank(), 0), Index(meta.rank(), 0)};
-    if (!zones.empty()) {
-      DRX_CHECK_MSG(zones.size() == 1,
-                    "GlobalAccessor requires a BLOCK distribution");
-      for (std::size_t d = 0; d < meta.rank(); ++d) {
-        out.lo[d] = checked_mul(zones[0].lo[d], meta.chunk_shape[d]);
-        out.hi[d] = std::min(checked_mul(zones[0].hi[d], meta.chunk_shape[d]),
-                             meta.element_bounds[d]);
-        out.lo[d] = std::min(out.lo[d], out.hi[d]);
-      }
-    }
-    zone_boxes_.push_back(std::move(out));
+    zone_boxes_.push_back(block_zone_box(meta, dist_, r));
   }
   const Box& mine = zone_boxes_[static_cast<std::size_t>(comm.rank())];
   DRX_CHECK_MSG(zone.size() ==

@@ -82,8 +82,9 @@ class DrxMpFile {
   // ---- chunk-list transfer primitive ------------------------------------
   // `staging` is chunk-major in the order of `chunks` (each chunk
   // occupying chunk_bytes() consecutive bytes). The file side is accessed
-  // in ascending linear-address order via an MPI-IO file view; collective
-  // calls run two-phase across the communicator.
+  // in ascending slot-offset order (linear-address order on a v1 array)
+  // via an MPI-IO file view; collective calls run two-phase across the
+  // communicator.
 
   [[nodiscard]] Status read_chunks(std::span<const Index> chunks,
                      std::span<std::byte> staging, bool collective);
@@ -172,19 +173,20 @@ class DrxMpFile {
             std::make_unique<PlanCache>(chunk_space_, meta_.element_bytes())),
         data_(std::move(data)) {}
 
-  /// Builds the (sorted-by-address) file and memory datatypes for a chunk
-  /// list and performs the transfer.
+  /// The one chunk-list transfer: builds a byte-granular file view from
+  /// the chunks' slots (Metadata::slot, sorted by slot offset) and moves
+  /// every stored chunk between the file and its `staging` position.
+  /// Reads zero-fill unwritten chunks and decode encoded ones after the
+  /// I/O call; identity-coded chunks (every v1 chunk) land in place.
+  /// Writes to a compressed array return kUnsupported.
   [[nodiscard]] Status transfer_chunks(std::span<const Index> chunks, void* staging,
                          bool collective, bool writing);
 
-  /// Compressed-array read path (docs/COMPRESSION.md): the file view is
-  /// built from the per-chunk slot table (byte-granular, sorted by slot
-  /// offset), the stored bytes land in a local buffer and each chunk is
-  /// decoded into its `staging` position after the collective completes.
-  /// DRX-MP serves compressed arrays read-only.
-  [[nodiscard]] Status transfer_chunks_compressed(std::span<const Index> chunks,
-                                                  void* staging,
-                                                  bool collective);
+  /// Scatters each chunk of `chunks`, staged chunk-major in `staging`,
+  /// into its part of element box `box` in `out` (linearized in `order`).
+  void scatter_staged(std::span<const Index> chunks,
+                      std::span<const std::byte> staging, const Box& box,
+                      MemoryOrder order, std::span<std::byte> out) const;
 
   /// Round-pipelined zone read (docs/ASYNC_IO.md): splits the chunk list
   /// into batches and reads batch r+1 on an I/O worker while batch r is

@@ -36,6 +36,14 @@ std::optional<std::uint64_t> Metadata::extend_elements(std::size_t dim,
   return mapping.extend(dim, needed[dim] - mapping.bounds()[dim]);
 }
 
+ChunkSlot Metadata::slot(std::uint64_t address) const {
+  DRX_CHECK(address < mapping.total_chunks());
+  if (compressed()) return chunk_table[checked_size(address)];
+  const std::uint64_t cb = chunk_bytes();
+  return ChunkSlot{checked_mul(address, cb), cb, cb,
+                   static_cast<std::uint8_t>(codec::CodecId::kNone)};
+}
+
 std::uint64_t Metadata::stored_data_bytes() const {
   if (!compressed()) return data_file_bytes();
   std::uint64_t end = 0;
@@ -65,8 +73,8 @@ std::vector<std::byte> Metadata::to_bytes() const {
     payload.put_u64(chunk_table.size());
     for (const ChunkSlot& s : chunk_table) {
       payload.put_u64(s.offset);
-      payload.put_u32(s.stored);
-      payload.put_u32(s.capacity);
+      payload.put_u32(static_cast<std::uint32_t>(s.stored));
+      payload.put_u32(static_cast<std::uint32_t>(s.capacity));
       payload.put_u8(s.codec);
     }
   }

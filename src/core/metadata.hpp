@@ -20,17 +20,20 @@
 
 namespace drx::core {
 
-/// Physical location of one chunk's stored bytes in the .xta file of a
-/// compressed array (docs/COMPRESSION.md). The slot reserves `capacity`
-/// bytes starting at `offset`; `stored` of them are live. Rewrites that
-/// still fit update in place; larger rewrites relocate to the end of
-/// the file and leak the old slot (append-only, like extension itself).
-/// A chunk that was never written keeps the all-zero slot: it owns no
-/// storage and reads back as zeros without any I/O.
+/// Physical location of one chunk's stored bytes in the .xta file
+/// (docs/COMPRESSION.md). The slot reserves `capacity` bytes starting at
+/// `offset`; `stored` of them are live. A compressed (v2) array stores
+/// one slot per chunk: rewrites that still fit update in place; larger
+/// rewrites relocate to the end of the file and leak the old slot
+/// (append-only, like extension itself). A chunk that was never written
+/// keeps the all-zero slot: it owns no storage and reads back as zeros
+/// without any I/O. A v1 array stores no slots; Metadata::slot computes
+/// them. The fields are 64-bit in memory; the v2 image stores the sizes
+/// as 32-bit values.
 struct ChunkSlot {
   std::uint64_t offset = 0;    ///< byte offset in the .xta
-  std::uint32_t stored = 0;    ///< bytes actually stored
-  std::uint32_t capacity = 0;  ///< bytes reserved at offset
+  std::uint64_t stored = 0;    ///< bytes actually stored
+  std::uint64_t capacity = 0;  ///< bytes reserved at offset
   std::uint8_t codec = 0;      ///< per-chunk codec::CodecId of the bytes
 
   [[nodiscard]] bool unwritten() const noexcept { return *this == ChunkSlot{}; }
@@ -88,6 +91,11 @@ struct Metadata {
   [[nodiscard]] bool compressed() const noexcept {
     return codec != codec::CodecId::kNone;
   }
+  /// The slot of chunk `address` (< mapping.total_chunks()): the stored
+  /// entry of a compressed array; on a v1 array the implicit slot F*
+  /// computes, {address * chunk_bytes, chunk_bytes, chunk_bytes, none}.
+  /// Every chunk transfer is built on this view.
+  [[nodiscard]] ChunkSlot slot(std::uint64_t address) const;
   /// Minimal physical .xta size: the dense size for uncompressed
   /// arrays; for compressed arrays the furthest *stored* byte (slot
   /// capacity padding past it is reserved but never written, so it may

@@ -848,6 +848,9 @@ TEST(Compression, WriteChunksRejectsDuplicateAddresses) {
 }
 
 // ---- DRX-MP: compressed arrays are read-only ------------------------------
+// One transfer path serves both formats: encoded chunks are decoded after
+// the I/O call, identity-coded ones land in place, unwritten ones are
+// zero-filled.
 
 TEST(CompressionMp, CollectiveReadOfSeriallyCompressedArray) {
   pfs::PfsConfig cfg;
@@ -947,6 +950,106 @@ TEST(CompressionMp, CollectiveReadOfNeverWrittenChunks) {
     for_each_index(mine, [&](const Index& idx) {
       ASSERT_EQ(band[static_cast<std::size_t>((idx[0] - 3 * r) * 10 + idx[1])],
                 expect(idx));
+    });
+    ASSERT_TRUE(f.close().is_ok());
+  });
+}
+
+/// Chunk (ci, cj) of the mixed array: 0 encoded, 1 identity-coded,
+/// 2 never written.
+int mixed_kind(const Index& chunk) {
+  return static_cast<int>((chunk[0] + chunk[1]) % 3);
+}
+
+/// Random doubles have no runs, so RLE cannot beat raw: identity-coded.
+double noise_value(const Index& idx) {
+  return SplitMix64(idx[0] * 1000 + idx[1] + 1).next_double();
+}
+
+double mixed_value(const Index& idx) {
+  switch (mixed_kind(Index{idx[0] / 4, idx[1] / 4})) {
+    case 0: return row_value(idx);
+    case 1: return noise_value(idx);
+    default: return 0.0;
+  }
+}
+
+TEST(CompressionMp, ReadsEncodedIdentityAndUnwrittenChunksTogether) {
+  pfs::PfsConfig cfg;
+  cfg.num_servers = 4;
+  cfg.stripe_size = 256;
+  pfs::Pfs fs(cfg);
+  const Box all{{0, 0}, {16, 16}};
+  {
+    auto meta_h = fs.create("mixed.xmd", /*overwrite=*/true);
+    auto data_h = fs.create("mixed.xta", /*overwrite=*/true);
+    ASSERT_TRUE(meta_h.is_ok());
+    ASSERT_TRUE(data_h.is_ok());
+    auto f = DrxFile::create(
+        std::make_unique<pfs::PfsStorage>(std::move(meta_h).value()),
+        std::make_unique<pfs::PfsStorage>(std::move(data_h).value()),
+        Shape{16, 16}, Shape{4, 4}, compressed_opts());
+    ASSERT_TRUE(f.is_ok()) << f.status();
+    for_each_index(Box{{0, 0}, {4, 4}}, [&](const Index& chunk) {
+      if (mixed_kind(chunk) == 2) return;
+      const Box box{{4 * chunk[0], 4 * chunk[1]},
+                    {4 * chunk[0] + 4, 4 * chunk[1] + 4}};
+      std::vector<double> values;
+      for_each_index(box, [&](const Index& idx) {
+        values.push_back(mixed_value(idx));
+      });
+      ASSERT_TRUE(f.value()
+                      .write_box(box, MemoryOrder::kRowMajor,
+                                 std::as_bytes(std::span<const double>(values)))
+                      .is_ok());
+    });
+    ASSERT_TRUE(f.value().flush().is_ok());
+    // The three kinds of slot are all present.
+    int encoded = 0, identity = 0, unwritten = 0;
+    for (const ChunkSlot& slot : f.value().metadata().chunk_table) {
+      if (slot.unwritten()) {
+        ++unwritten;
+      } else if (slot.codec ==
+                 static_cast<std::uint8_t>(codec::CodecId::kNone)) {
+        ++identity;
+      } else {
+        ++encoded;
+      }
+    }
+    ASSERT_GT(encoded, 0);
+    ASSERT_GT(identity, 0);
+    ASSERT_GT(unwritten, 0);
+  }
+
+  simpi::run(4, [&](simpi::Comm& comm) {
+    auto fr = DrxMpFile::open(comm, fs, "mixed");
+    ASSERT_TRUE(fr.is_ok()) << fr.status();
+    DrxMpFile& f = fr.value();
+
+    std::vector<double> out(16 * 16, -1.0);
+    ASSERT_TRUE(f.read_box_all(all, MemoryOrder::kRowMajor,
+                               std::as_writable_bytes(std::span<double>(out)))
+                    .is_ok());
+    for_each_index(all, [&](const Index& idx) {
+      ASSERT_EQ(out[static_cast<std::size_t>(idx[0] * 16 + idx[1])],
+                mixed_value(idx))
+          << "(" << idx[0] << "," << idx[1] << ")";
+    });
+
+    // Rank r reads a column-major box that straddles chunk boundaries.
+    const std::uint64_t r = static_cast<std::uint64_t>(comm.rank());
+    const Box mine{{3 * r, 1}, {3 * r + 5, 15}};
+    std::vector<double> part(5 * 14, -1.0);
+    ASSERT_TRUE(
+        f.read_box_independent(mine, MemoryOrder::kColMajor,
+                               std::as_writable_bytes(std::span<double>(part)))
+            .is_ok());
+    for_each_index(mine, [&](const Index& idx) {
+      const Index rel{idx[0] - mine.lo[0], idx[1] - mine.lo[1]};
+      ASSERT_EQ(part[static_cast<std::size_t>(linearize(
+                    rel, mine.shape(), MemoryOrder::kColMajor))],
+                mixed_value(idx))
+          << "(" << idx[0] << "," << idx[1] << ")";
     });
     ASSERT_TRUE(f.close().is_ok());
   });

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -319,6 +322,63 @@ TEST(DrxFile, RandomizedMirrorProperty) {
     ASSERT_EQ(f.get<double>(idx).value(), mirror_at(idx));
   });
 }
+
+// One read primitive for both formats: a v1 array's implicit slots and a
+// v2 array's freshly allocated slots are both dense in address order, so
+// a batch over consecutive chunks is one storage request.
+class ChunkReadP : public ::testing::TestWithParam<codec::CodecId> {};
+
+TEST_P(ChunkReadP, ConsecutiveChunksAreOneReadRequestAndRoundTrip) {
+  constexpr std::uint64_t kChunks = 6;
+  DrxFile::Options opts = dbl_opts();
+  opts.codec = GetParam();
+  DrxFile f = make_mem(Shape{8, 8 * kChunks}, Shape{8, 8}, opts);
+  ASSERT_EQ(f.metadata().mapping.total_chunks(), kChunks);
+  const std::size_t cb = checked_size(f.chunk_bytes());
+  // Row-constant chunks: RLE encodes them, so v2 stores real codec bytes.
+  std::vector<std::vector<std::byte>> raw;
+  for (std::uint64_t q = 0; q < kChunks; ++q) {
+    std::vector<double> values(cb / sizeof(double));
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = 100.0 * static_cast<double>(q) + static_cast<double>(i / 8);
+    }
+    const auto bytes = std::as_bytes(std::span<const double>(values));
+    raw.emplace_back(bytes.begin(), bytes.end());
+    ASSERT_TRUE(f.write_chunk(q, raw.back()).is_ok());
+  }
+
+  const pfs::IoStats& stats =
+      static_cast<pfs::MemStorage&>(f.data_storage()).stats();
+  const std::uint64_t before = stats.read_requests;
+  std::vector<std::byte> scratch;
+  std::vector<DrxFile::StoredRef> refs;
+  ASSERT_TRUE(f.read_chunks_stored(0, kChunks, scratch, refs).is_ok());
+  EXPECT_EQ(stats.read_requests - before, 1u);
+  ASSERT_EQ(refs.size(), kChunks);
+  std::vector<std::byte> out(cb);
+  for (std::uint64_t q = 0; q < kChunks; ++q) {
+    EXPECT_EQ(refs[q].codec, GetParam()) << "chunk " << q;
+    ASSERT_TRUE(decode_chunk(f.metadata(), refs[q].codec,
+                             refs[q].bytes_in(scratch), out)
+                    .is_ok());
+    EXPECT_EQ(out, raw[q]) << "chunk " << q;
+  }
+
+  for (std::uint64_t q = 0; q < kChunks; ++q) {
+    std::fill(out.begin(), out.end(), std::byte{0xAB});
+    ASSERT_TRUE(f.read_chunk(q, out).is_ok());
+    EXPECT_EQ(out, raw[q]) << "chunk " << q;
+  }
+  EXPECT_EQ(stats.read_requests - before, 1u + kChunks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, ChunkReadP,
+    ::testing::Values(codec::CodecId::kNone, codec::CodecId::kRle),
+    [](const ::testing::TestParamInfo<codec::CodecId>& param_info) {
+      return std::string(param_info.param == codec::CodecId::kNone ? "v1"
+                                                                  : "v2");
+    });
 
 }  // namespace
 }  // namespace drx::core

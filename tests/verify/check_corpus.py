@@ -27,6 +27,9 @@ EXPECTED = {
      "tests/verify/corpus/flush_under_shard_lock.cpp"): 2,
     ("error-discipline", "tests/verify/corpus/dropped_status.cpp"): 3,
     ("layering", "tests/verify/corpus/layering_violation.cpp"): 1,
+    ("blocking-under-lock",
+     "tests/verify/corpus/shard_lock_discipline.cpp"): 1,
+    ("lock-order", "tests/verify/corpus/shard_lock_discipline.cpp"): 1,
 }
 
 
