@@ -115,7 +115,7 @@ ChunkCache::~ChunkCache() {
                     << st.to_string();
   }
   if (file_->prefetch_sink() == this) file_->set_prefetch_sink(nullptr);
-  pool_.reset();  // queue is empty after flush(); joins the workers
+  pool_.reset();  // flush() waited for every job's claims; joins workers
 }
 
 // Lock-order suppression (docs/STATIC_ANALYSIS.md): the pair lock
@@ -298,31 +298,10 @@ bool ChunkCache::try_read_fast(std::uint64_t address, std::uint64_t offset,
   return true;
 }
 
-void ChunkCache::queue_write_locked(Shard& s, std::uint64_t address,
-                                    std::unique_ptr<std::byte[]> data,
-                                    std::vector<std::uint64_t>& write_submits) {
-  auto [it, fresh] = s.pending_writes.try_emplace(address);
-  it->second.data = std::shared_ptr<std::byte[]>(data.release());
-  ++it->second.seq;
-  ++s.stats.deferred_writebacks;
-  obs::registry().counter(kDeferredWb).add();
-  // One job per pending address: a replacement just swaps the buffer and
-  // the existing job re-writes until seq is stable.
-  if (fresh) write_submits.push_back(address);
-}
-
-// Body suppression (docs/STATIC_ANALYSIS.md): the synchronous write-back
-// branch releases the caller's shard lock through the MutexLock&
-// parameter, which the analysis cannot track across a function boundary.
-// The DRX_REQUIRES(s.mu) contract on the declaration still checks every
-// call site; s.mu is held on entry and on exit.
-Status ChunkCache::evict_one_locked(Shard& s, util::MutexLock& lock,
-                                    std::vector<std::uint64_t>& write_submits)
-    DRX_NO_THREAD_SAFETY_ANALYSIS {
+bool ChunkCache::evict_one_locked(Shard& s, std::vector<WriteBack>& victims) {
   std::uint64_t victim = kNoAddress;
   if (!s.lru.empty()) {
     victim = s.lru.back();
-    s.lru.pop_back();
   } else {
     // A landed read-ahead stays off the LRU until its first pin, so a
     // scan's own evictions never displace it; when nothing else is
@@ -330,47 +309,49 @@ Status ChunkCache::evict_one_locked(Shard& s, util::MutexLock& lock,
     for (const auto& [address, frame] : s.frames) {
       if (frame.prefetched && !frame.loading) victim = address;
     }
-    if (victim == kNoAddress) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "all cache frames are pinned");
-    }
+    if (victim == kNoAddress) return false;
   }
   auto it = s.frames.find(victim);
   DRX_CHECK(it != s.frames.end());
-  // Withdraw from the fast-read table first: after the erase below the
-  // buffer is recycled or handed to write-behind, and a lock-free reader
-  // must not still be copying out of it.
-  unpublish_locked(s, victim, it->second);
-  Frame frame = std::move(it->second);
-  s.frames.erase(it);
+  Frame& frame = it->second;
+  // Withdraw from the fast-read table first: the buffer is recycled now
+  // or at the release, and no lock-free reader may still be copying it.
+  unpublish_locked(s, victim, frame);
   ++s.stats.evictions;
   obs::registry().counter(kEvictions).add();
   if (frame.prefetched) {
     ++s.stats.prefetch_wasted;
     obs::registry().counter(kPrefWasted).add();
   }
-  if (!frame.dirty) {
-    recycle_buffer_locked(s, std::move(frame.data));
-    return Status::ok();
+  if (frame.dirty) {
+    // The victim stays visible, claimed, until its write lands: a pin of
+    // it waits rather than faulting the older stored bytes.
+    claim_locked(s, victim, frame, victims);
+    frame.evicted = true;
+    ++s.evicting;
+    if (async()) {
+      ++s.stats.deferred_writebacks;
+      obs::registry().counter(kDeferredWb).add();
+    }
+    return true;
   }
-
-  if (async()) {
-    // Write-behind: hand the buffer to the pool instead of blocking.
-    queue_write_locked(s, victim, std::move(frame.data), write_submits);
-    return Status::ok();
-  }
-  // Synchronous legacy path: write back before the eviction completes.
-  // The frame was erased from s.frames above, so this thread owns its
-  // buffer exclusively across the unlocked write.
-  lock.unlock();
-  const WriteBack one{victim, frame.data.get()};
-  const Status st = write_back(std::span<const WriteBack>(&one, 1));
-  lock.lock();
+  if (frame.in_lru) s.lru.erase(frame.lru_it);
   recycle_buffer_locked(s, std::move(frame.data));
-  ++s.stats.writebacks;
-  obs::registry().counter(kWritebacks).add();
-  if (!st.is_ok()) record_error(st, /*surfaced=*/true);
-  return st;
+  s.frames.erase(it);
+  return true;
+}
+
+void ChunkCache::claim_locked(Shard& s, std::uint64_t address, Frame& frame,
+                              std::vector<WriteBack>& batch) {
+  frame.dirty = false;    // claimed; a later store re-marks it
+  frame.flushing = true;  // new pins wait instead of touching the buffer
+  ++frame.pins;           // holds the frame across the unlocked write
+  if (frame.in_lru) {
+    s.lru.erase(frame.lru_it);
+    frame.in_lru = false;
+  }
+  ++s.claims;
+  batch.emplace_back(address, frame.data.get());
 }
 
 bool ChunkCache::borrow_capacity(std::size_t home_index) {
@@ -384,7 +365,7 @@ bool ChunkCache::borrow_capacity(std::size_t home_index) {
     if (donor.capacity <= 1) continue;  // never strand a shard frameless
     // A donor with headroom (or at least an evictable frame) can afford
     // to shrink; one at capacity with everything pinned cannot.
-    if (donor.frames.size() < donor.capacity || !donor.lru.empty()) {
+    if (counted_locked(donor) < donor.capacity || !donor.lru.empty()) {
       --donor.capacity;
       ++home.capacity;
       ++home.stats.capacity_borrows;
@@ -404,11 +385,9 @@ bool ChunkCache::borrow_capacity(std::size_t home_index) {
 
 bool ChunkCache::should_bypass_locked(Shard& s, std::uint64_t address,
                                       bool write) {
-  // Resident (or in-flight) frames and queued write-behind buffers hold
+  // Resident frames (loading, or claimed mid write-back, included) hold
   // the newest bytes — the pin path must serve them.
-  if (s.frames.count(address) != 0 || s.pending_writes.count(address) != 0) {
-    return false;
-  }
+  if (s.frames.count(address) != 0) return false;
   const io::CacheAdmit mode = io::cache_admit();
   if (mode == io::CacheAdmit::kAlways) return false;
   if (mode == io::CacheAdmit::kNever) return true;
@@ -492,13 +471,6 @@ Result<bool> ChunkCache::write_element_bypassed(
   return true;
 }
 
-void ChunkCache::submit_writes(const std::vector<std::uint64_t>& addresses) {
-  for (const std::uint64_t address : addresses) {
-    pool_->submit(obs::current_op(),
-                  [this, address] { return run_write_job(address); });
-  }
-}
-
 Status ChunkCache::write_back(std::span<const WriteBack> chunks) {
   const std::size_t cb = chunk_size();
   std::vector<std::vector<std::byte>> scratch(chunks.size());
@@ -512,6 +484,74 @@ Status ChunkCache::write_back(std::span<const WriteBack> chunks) {
   }
   util::MutexLock io(io_mu_);
   return file_->write_chunks(batch);
+}
+
+void ChunkCache::release(std::span<const WriteBack> batch, const Status& st) {
+  for (std::size_t k = 0; k < batch.size();) {
+    Shard& s = shard_of(batch[k].first);
+    {
+      util::MutexLock lock(s.mu);
+      for (; k < batch.size() && &shard_of(batch[k].first) == &s; ++k) {
+        const std::uint64_t address = batch[k].first;
+        auto it = s.frames.find(address);  // pinned by the claim: not erased
+        DRX_CHECK(it != s.frames.end());
+        Frame& frame = it->second;
+        frame.flushing = false;
+        --s.claims;
+        ++s.stats.writebacks;
+        if (frame.evicted) {
+          frame.evicted = false;
+          --s.evicting;
+          recycle_buffer_locked(s, std::move(frame.data));
+          s.frames.erase(it);
+          continue;
+        }
+        if (!st.is_ok()) frame.dirty = true;
+        if (--frame.pins == 0) {
+          s.lru.push_front(address);
+          frame.lru_it = s.lru.begin();
+          frame.in_lru = true;
+        }
+        maybe_publish_locked(s, address, frame);
+      }
+    }
+    s.cv.notify_all();
+  }
+  obs::registry().counter(kWritebacks).add(batch.size());
+}
+
+void ChunkCache::write_victims(std::vector<WriteBack> victims) {
+  if (victims.empty()) return;
+  if (!async()) {
+    DRX_IGNORE_STATUS(run_victim_write(victims),
+                      "recorded by record_error; surfaces on flush()");
+    return;
+  }
+  pool_->submit(obs::current_op(), [this, victims = std::move(victims)] {
+    return run_victim_write(victims);
+  });
+}
+
+Status ChunkCache::run_victim_write(std::span<const WriteBack> victims) {
+  // Encode and write with NO shard lock held: the claims keep the
+  // buffers alive and unmodified until the release below.
+  const Status st = write_back(victims);
+  bool dump_flight = false;
+  if (!st.is_ok()) {
+    DRX_LOG(kError) << "eviction write-back of " << victims.size()
+                    << " chunks failed: " << st.to_string();
+    dump_flight = record_error(st, /*surfaced=*/false);
+  }
+  release(victims, st);
+  if (dump_flight && obs::flight_enabled()) {
+    // First sticky deferred error: nobody may ever call flush() to see
+    // it, so capture the causal context now, outside the cache locks.
+    const Status ds = obs::dump_flight("deferred-io-error");
+    if (!ds.is_ok()) {
+      DRX_LOG(kError) << "flight dump failed: " << ds.to_string();
+    }
+  }
+  return st;
 }
 
 Result<std::span<std::byte>> ChunkCache::pin(std::uint64_t address,
@@ -531,8 +571,8 @@ Result<std::span<std::byte>> ChunkCache::pin(std::uint64_t address,
 restart:
   auto it = s.frames.find(address);
   if (it != s.frames.end() && (it->second.loading || it->second.flushing)) {
-    // A speculative fault for this chunk is in flight (or flush owns the
-    // buffer for a write-back): wait rather than touching the buffer.
+    // A fault for this chunk is in flight, or a write-back owns its
+    // buffer: wait rather than touching the buffer.
     ++s.stats.prefetch_waits;
     obs::registry().counter(kPrefWaits).add();
     obs::ScopedTimer wait_timer(kPrefWaitUs);
@@ -540,6 +580,14 @@ restart:
     // from the op's perspective.
     obs::StageTimer fault_wait(obs::Stage::kCacheFault);
     do {
+      if (it->second.evicted) {
+        // Mid eviction write: the release keeps the victim resident for
+        // this pin instead of erasing it.
+        it->second.evicted = false;
+        --s.evicting;
+        ++s.stats.write_queue_hits;
+        obs::registry().counter(kWriteQueueHits).add();
+      }
       s.cv.wait(lock);
       it = s.frames.find(address);
     } while (it != s.frames.end() &&
@@ -595,62 +643,35 @@ restart:
   // cache-fault time; stopped before the storage read below so the I/O
   // itself attributes to Stage::kIoService, not here.
   obs::StageTimer fault_timer(obs::Stage::kCacheFault);
-  std::vector<std::uint64_t> write_submits;
-  while (s.frames.size() >= s.capacity) {
-    const Status ev = evict_one_locked(s, lock, write_submits);
-    if (!ev.is_ok()) {
-      if (s.flush_claims > 0 || s.loads_inflight > 0) {
-        // A flush's claims come back after its one write_chunks call and
-        // read-ahead frames once their read lands; both notify s.cv.
-        // Submit our queued write-behind first (the flush barrier may be
-        // waiting on this shard's queue), else wait; then retry.
-        if (!write_submits.empty()) {
-          lock.unlock();
-          submit_writes(write_submits);
-          lock.lock();
-        } else {
-          s.cv.wait(lock);  // seen under this lock: no lost notify
-        }
-        goto restart;
-      }
-      // Every frame in this shard is pinned. Borrow a frame of capacity
-      // from a sibling with slack instead of failing the pin (bounded
-      // retries: concurrent pinners may consume what we borrow).
-      if (shard_count_ > 1 && borrows < 8) {
-        ++borrows;
-        lock.unlock();
-        if (!write_submits.empty()) submit_writes(write_submits);
-        const bool borrowed = borrow_capacity(si);
-        lock.lock();
-        if (borrowed) goto restart;
-      }
-      return ev;
-    }
-    // The synchronous eviction path drops the lock to write; another
-    // thread may have faulted our chunk meanwhile.
-    if (!async() && s.frames.count(address) != 0) goto restart;
-  }
-
-  // Miss served from the write-behind queue: the newest bytes for this
-  // chunk sit in a queued (not yet completed) write; copying them is both
-  // correct and cheaper than re-reading the file.
-  if (auto pw = s.pending_writes.find(address); pw != s.pending_writes.end()) {
-    Frame frame;
-    frame.data = take_buffer_locked(s);
-    std::memcpy(frame.data.get(), pw->second.data.get(), cb);
-    frame.pins = 1;
-    frame.write_pins = writable ? 1 : 0;
-    frame.dirty = true;  // storage still holds stale bytes for this chunk
-    const auto [pos, inserted] = s.frames.emplace(address, std::move(frame));
-    DRX_CHECK(inserted);
-    ++s.stats.write_queue_hits;
-    obs::registry().counter(kWriteQueueHits).add();
-    std::byte* buffer = pos->second.data.get();
-    if (!write_submits.empty()) {
+  std::vector<WriteBack> victims;
+  while (counted_locked(s) >= s.capacity) {
+    if (evict_one_locked(s, victims)) continue;
+    if (!victims.empty()) {
+      // Nothing more to evict: write this pass's victims before waiting
+      // or borrowing (flush's barrier may be waiting on their claims).
       lock.unlock();
-      submit_writes(write_submits);
+      write_victims(std::move(victims));
+      lock.lock();
+      goto restart;
     }
-    return std::span<std::byte>(buffer, cb);
+    if (s.claims > s.evicting || s.loads_inflight > 0) {
+      // A flush's claims come back after its one write_chunks call and
+      // read-ahead frames once their read lands; both notify s.cv.
+      s.cv.wait(lock);  // seen under this lock: no lost notify
+      goto restart;
+    }
+    // Every frame in this shard is pinned. Borrow a frame of capacity
+    // from a sibling with slack instead of failing the pin (bounded
+    // retries: concurrent pinners may consume what we borrow).
+    if (shard_count_ > 1 && borrows < 8) {
+      ++borrows;
+      lock.unlock();
+      const bool borrowed = borrow_capacity(si);
+      lock.lock();
+      if (borrowed) goto restart;
+    }
+    return Status(ErrorCode::kFailedPrecondition,
+                  "all cache frames are pinned");
   }
 
   // Reserve the frame (loading, pinned) so concurrent pins wait instead
@@ -668,7 +689,9 @@ restart:
   }
   lock.unlock();
 
-  if (!write_submits.empty()) submit_writes(write_submits);
+  // The victims' writes precede this pin's fault: inline in a sync cache,
+  // one pool job in an async one.
+  write_victims(std::move(victims));
   if (readahead_want > 0) {
     // Reserving read-ahead frames locks other shards, so it happens only
     // after this shard's lock is dropped (one shard lock at a time).
@@ -750,7 +773,7 @@ std::uint64_t ChunkCache::reserve_readahead(std::uint64_t first,
   const std::uint64_t cap =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(capacity_) / 2);
   want = std::min(want, cap);
-  std::vector<std::uint64_t> write_submits;
+  std::vector<WriteBack> victims;
   std::uint64_t participating = 0;  // shard bitmask; shard_count_ <= 64
   std::uint64_t run = 0;
   while (run < want) {
@@ -759,20 +782,15 @@ std::uint64_t ChunkCache::reserve_readahead(std::uint64_t first,
     const std::size_t si = shard_index(address);
     Shard& s = shards_[si];
     util::MutexLock lock(s.mu);
-    // Stop at resident frames (cached or in flight) and at queued writes:
-    // the newest bytes for a queued-write chunk are not on storage yet.
-    if (s.frames.count(address) != 0 ||
-        s.pending_writes.count(address) != 0) {
-      break;
+    // Stop at resident frames (cached, in flight, or mid write-back: the
+    // newest bytes of a claimed victim are not on storage yet).
+    if (s.frames.count(address) != 0) break;
+    // Make room by evicting unpinned frames; their dirty write-backs go
+    // to the pool as one job, so speculation never blocks on I/O here.
+    while (counted_locked(s) >= s.capacity && !s.lru.empty()) {
+      evict_one_locked(s, victims);
     }
-    // Make room by evicting unpinned frames; their dirty write-backs are
-    // deferred to the pool, so speculation never blocks on I/O here.
-    while (s.frames.size() >= s.capacity && !s.lru.empty()) {
-      DRX_IGNORE_STATUS(evict_one_locked(s, lock, write_submits),
-                        "speculative fill: write-back errors are recorded "
-                        "by record_error and surface on flush()");
-    }
-    if (s.frames.size() >= s.capacity) break;
+    if (counted_locked(s) >= s.capacity) break;
     Frame frame;
     frame.data = take_buffer_locked(s);
     frame.loading = true;
@@ -789,7 +807,7 @@ std::uint64_t ChunkCache::reserve_readahead(std::uint64_t first,
     obs::registry().counter(kPrefIssued).add();
     ++run;
   }
-  if (!write_submits.empty()) submit_writes(write_submits);
+  write_victims(std::move(victims));
   if (run > 0) {
     // Keep the detector's run alive across the hits the prefetch creates.
     util::MutexLock seq(seq_mu_);
@@ -806,60 +824,6 @@ void ChunkCache::prefetch(std::uint64_t first, std::uint64_t count) {
         obs::current_op(),
         [this, first, run] { return run_prefetch_job(first, run); }, nullptr,
         io::AsyncIoPool::JobClass::kBackground);
-  }
-}
-
-Status ChunkCache::run_write_job(std::uint64_t address) {
-  Shard& s = shard_of(address);
-  for (;;) {
-    std::shared_ptr<std::byte[]> data;
-    std::uint64_t seq = 0;
-    {
-      util::MutexLock lock(s.mu);
-      auto it = s.pending_writes.find(address);
-      DRX_CHECK(it != s.pending_writes.end());  // only this job erases it
-      data = it->second.data;
-      seq = it->second.seq;
-    }
-    // Encode with NO lock held: the pending-write entry's shared_ptr
-    // keeps the buffer alive, a replacement bumps seq (observed below)
-    // rather than mutating bytes in place, and concurrent writers on
-    // other chunks keep streaming through io_mu_ while this worker
-    // compresses — codec cost overlaps I/O instead of serializing it.
-    const WriteBack one{address, data.get()};
-    const Status st = write_back(std::span<const WriteBack>(&one, 1));
-    if (!st.is_ok()) {
-      DRX_LOG(kError) << "deferred chunk write-back failed (address " << address
-                      << "): " << st.to_string();
-    }
-    bool dump_flight = false;
-    bool replaced = false;
-    {
-      util::MutexLock lock(s.mu);
-      ++s.stats.writebacks;
-      obs::registry().counter(kWritebacks).add();
-      if (!st.is_ok()) {
-        dump_flight = record_error(st, /*surfaced=*/false);
-      }
-      auto it = s.pending_writes.find(address);
-      DRX_CHECK(it != s.pending_writes.end());
-      if (it->second.seq != seq) {
-        replaced = true;  // replaced mid-write: go again
-      } else {
-        s.pending_writes.erase(it);
-      }
-    }
-    s.cv.notify_all();
-    if (dump_flight && obs::flight_enabled()) {
-      // First sticky deferred error: nobody may ever call flush() to see
-      // it, so capture the causal context now, outside the cache lock.
-      const Status ds = obs::dump_flight("deferred-io-error");
-      if (!ds.is_ok()) {
-        DRX_LOG(kError) << "flight dump failed: " << ds.to_string();
-      }
-    }
-    if (replaced) continue;
-    return st;
   }
 }
 
@@ -917,25 +881,22 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
 
 Status ChunkCache::flush() {
   std::vector<WriteBack> batch;
-  // batch[claimed[i] .. claimed[i + 1]) are shard i's claims.
-  std::vector<std::size_t> claimed(shard_count_ + 1);
   Status direct;
   for (;;) {
-    // 1. Claim pass, one shard lock at a time. The barrier and the claims
-    // share one critical section: a frame claimed after the lock was
-    // dropped could have an older queued write-behind of its address
-    // land after the flush's newer bytes.
+    // 1. Claim pass, one shard lock at a time. A claimed frame, whether
+    // by a flush or an eviction, is owned by its write until the release:
+    // nobody pins, dirties or claims it meanwhile, so two writes of one
+    // address never overlap and the newest bytes always land last.
     batch.clear();
     std::optional<std::pair<std::size_t, std::uint64_t>> pinned_dirty;
     for (std::size_t i = 0; i < shard_count_; ++i) {
-      claimed[i] = batch.size();
       Shard& s = shards_[i];
       util::MutexLock lock(s.mu);
-      // Barrier: drain the shard's write-behind queue and in-flight
-      // speculative loads (a sync cache has neither).
+      // Barrier: wait for the shard's in-flight write-back claims (other
+      // flushes, eviction writes) and speculative loads.
       s.cv.wait(lock, [&s] {
         s.mu.assert_held();
-        return s.pending_writes.empty() && s.loads_inflight == 0;
+        return s.claims == 0 && s.loads_inflight == 0;
       });
       for (auto& [address, frame] : s.frames) {
         if (!frame.dirty || frame.loading) continue;
@@ -946,18 +907,9 @@ Status ChunkCache::flush() {
           pinned_dirty.emplace(i, address);
           continue;
         }
-        frame.dirty = false;    // claimed; a later set re-marks it
-        frame.flushing = true;  // new pins wait instead of touching the buffer
-        ++frame.pins;           // holds the frame across the unlocked write
-        if (frame.in_lru) {
-          s.lru.erase(frame.lru_it);
-          frame.in_lru = false;
-        }
-        batch.emplace_back(address, frame.data.get());
+        claim_locked(s, address, frame, batch);
       }
-      s.flush_claims += batch.size() - claimed[i];
     }
-    claimed[shard_count_] = batch.size();
 
     // 2. One write for every shard's claims, with no shard lock held. The
     // claimed frames can stay published: the write only reads them, and
@@ -965,30 +917,7 @@ Status ChunkCache::flush() {
     const Status st = batch.empty() ? Status::ok() : write_back(batch);
 
     // 3. Release, shard by shard, waking pins parked on the claims.
-    for (std::size_t i = 0; i < shard_count_; ++i) {
-      if (claimed[i] == claimed[i + 1]) continue;
-      Shard& s = shards_[i];
-      {
-        util::MutexLock lock(s.mu);
-        for (std::size_t k = claimed[i]; k < claimed[i + 1]; ++k) {
-          const std::uint64_t address = batch[k].first;
-          Frame& frame = s.frames.at(address);  // pinned above, so not erased
-          frame.flushing = false;
-          if (!st.is_ok()) frame.dirty = true;
-          if (--frame.pins == 0) {
-            s.lru.push_front(address);
-            frame.lru_it = s.lru.begin();
-            frame.in_lru = true;
-          }
-          maybe_publish_locked(s, address, frame);
-        }
-        const std::size_t n = claimed[i + 1] - claimed[i];
-        s.flush_claims -= n;
-        s.stats.writebacks += n;
-      }
-      s.cv.notify_all();
-    }
-    obs::registry().counter(kWritebacks).add(batch.size());
+    release(batch, st);
     if (!st.is_ok()) {
       record_error(st, /*surfaced=*/true);
       direct = st;

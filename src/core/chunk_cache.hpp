@@ -10,7 +10,7 @@
 // Sharding (docs/SERVING.md): the pool is split into N lock shards keyed
 // by a hash of the chunk address (DRX_CACHE_SHARDS; default 1 = the
 // legacy single-lock cache). Each shard owns its own mutex, LRU list,
-// ghost admission table, write-behind queue, and free-buffer pool, so
+// ghost admission table, write-back claims, and free-buffer pool, so
 // concurrent clients touching different chunks contend on different
 // locks. A shard whose frames are all pinned borrows capacity from a
 // sibling through the ordered two-shard lock (ShardPairLock) instead of
@@ -26,19 +26,26 @@
 // path (ablation knob for benches). Memory-ordering proof sketch in
 // docs/SERVING.md.
 //
+// Write-back (docs/ASYNC_IO.md): flush() and eviction share one
+// claim -> write -> release mechanism. A claimed dirty frame stays in its
+// shard's table, marked `flushing`, until its write lands; a pin of it
+// waits instead of faulting the older stored bytes. An evicted victim
+// does not count against capacity while its write is in flight, and the
+// release erases it unless a pin waited for it.
+//
 // Async engine (docs/ASYNC_IO.md): when constructed with io_threads > 0
 // the cache runs on a drx::io::AsyncIoPool and becomes fully thread-safe:
 //  - read-ahead: a detectably sequential miss run (consecutive miss
 //    addresses) speculatively faults the next DRX_PREFETCH_DEPTH chunk
 //    addresses into frames with ONE coalesced storage read, before they
 //    are pinned;
-//  - write-behind: dirty evictions enqueue their write-back instead of
-//    blocking the evicting pin(); flush() is a barrier that drains the
-//    queue and surfaces the first deferred error (sticky: last_error()
-//    keeps reporting it, and the destructor logs it rather than dropping
-//    a failed final flush on the floor).
-// io_threads == 0 (the default) reproduces the synchronous legacy
-// semantics exactly.
+//  - write-behind: an eviction pass's dirty victims go out as one pool
+//    job instead of blocking the evicting pin(); flush() is a barrier
+//    that waits for those writes and surfaces the first deferred error
+//    (sticky: last_error() keeps reporting it, and the destructor logs it
+//    rather than dropping a failed final flush on the floor).
+// io_threads == 0 (the default) writes an eviction pass's victims on the
+// pinning thread, before its own fault.
 #pragma once
 
 #include <atomic>
@@ -80,9 +87,10 @@ class ChunkCache final : public io::PrefetchSink {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t writebacks = 0;
+    // Eviction write-back counters (docs/ASYNC_IO.md).
+    std::uint64_t deferred_writebacks = 0;  ///< victims written by a pool job
+    std::uint64_t write_queue_hits = 0;     ///< pins that met a victim mid-write
     // Async-engine counters (all zero in synchronous mode).
-    std::uint64_t deferred_writebacks = 0;  ///< write-backs queued, not blocked on
-    std::uint64_t write_queue_hits = 0;     ///< misses served from a queued write
     std::uint64_t prefetch_issued = 0;      ///< chunks speculatively requested
     std::uint64_t prefetch_useful = 0;      ///< prefetched chunks later pinned
     std::uint64_t prefetch_wasted = 0;      ///< prefetched chunks evicted unpinned
@@ -191,7 +199,8 @@ class ChunkCache final : public io::PrefetchSink {
 
   /// Admission-controlled element read at `offset` bytes into the chunk
   /// at `address`. Returns true when served by bypass I/O; false when the
-  /// caller should pin() (chunk resident, pending, or admitted).
+  /// caller should pin() (chunk resident, mid-load or mid-write included,
+  /// or admitted).
   [[nodiscard]] Result<bool> read_element_bypassed(std::uint64_t address,
                                      std::uint64_t offset,
                                      std::span<std::byte> out);
@@ -203,10 +212,10 @@ class ChunkCache final : public io::PrefetchSink {
                                       std::uint64_t offset,
                                       std::span<const std::byte> value);
 
-  /// Barrier + write-back: drains in-flight read-ahead and write-behind,
-  /// surfaces the first deferred write error, then writes back every
-  /// dirty frame without evicting. One pass claims the dirty, unpinned
-  /// frames of every shard, and they go out as ONE address-ordered
+  /// Barrier + write-back: waits for in-flight read-ahead and write-back
+  /// claims, writes back every dirty frame without evicting, and
+  /// surfaces the first deferred write error. One pass claims the dirty,
+  /// unpinned frames of every shard, and they go out as ONE address-ordered
   /// DrxFile::write_chunks batch, so F*'s neighbours stay neighbours on
   /// storage however the shards split them. A dirty frame that is still
   /// pinned is written in a later pass, after its last pin drops (flush
@@ -265,21 +274,12 @@ class ChunkCache final : public io::PrefetchSink {
     int write_pins = 0;       ///< pins taken with writable intent
     bool dirty = false;
     bool loading = false;     ///< speculative/foreground fault in flight
-    bool flushing = false;    ///< flush owns the buffer for a write-back
+    bool flushing = false;    ///< claimed: a write-back owns the buffer
+    bool evicted = false;     ///< claimed by eviction: release erases it
     bool prefetched = false;  ///< faulted ahead of demand, not yet pinned
     bool published = false;   ///< visible to the lock-free fast path
     std::list<std::uint64_t>::iterator lru_it;  ///< valid when in_lru
     bool in_lru = false;
-  };
-
-  /// A dirty buffer evicted under write-behind, keyed by address until its
-  /// worker write completes. `seq` orders replacements: re-evicting the
-  /// same address swaps the buffer and bumps seq, and the (single) job for
-  /// the address re-writes until it observes a stable seq — so the newest
-  /// data always lands last.
-  struct PendingWrite {
-    std::shared_ptr<std::byte[]> data;
-    std::uint64_t seq = 0;
   };
 
   /// One lock shard: an independent cache slice over the addresses that
@@ -289,21 +289,23 @@ class ChunkCache final : public io::PrefetchSink {
   /// (drx_verify lock-order).
   struct Shard {
     mutable util::Mutex mu;
-    util::CondVar cv;  ///< load completion / queue-drain signal
+    util::CondVar cv;  ///< load landed / claims released / unpin
     std::unordered_map<std::uint64_t, Frame> frames DRX_GUARDED_BY(mu);
     /// Unpinned ready frames, front = MRU.
     std::list<std::uint64_t> lru DRX_GUARDED_BY(mu);
-    std::unordered_map<std::uint64_t, PendingWrite> pending_writes
-        DRX_GUARDED_BY(mu);
     /// Recycled chunk-sized frame buffers (bounded by the shard capacity).
     std::vector<std::unique_ptr<std::byte[]>> free_buffers DRX_GUARDED_BY(mu);
     std::uint64_t loads_inflight DRX_GUARDED_BY(mu) = 0;  ///< prefetch jobs
     /// Flushes parked until a dirty frame's last pin drops (unpin notifies
     /// cv only while this is nonzero, keeping the unpin fast path quiet).
     std::size_t flush_waiters DRX_GUARDED_BY(mu) = 0;
-    /// Frames a flush has claimed for its write. A pin() that finds no
-    /// evictable frame while this is nonzero waits for the release.
-    std::size_t flush_claims DRX_GUARDED_BY(mu) = 0;
+    /// Frames claimed for a write-back (flush or eviction); flush's
+    /// barrier waits for zero.
+    std::size_t claims DRX_GUARDED_BY(mu) = 0;
+    /// The claimed frames marked `evicted`: they do not count against
+    /// capacity. A pin() that finds no evictable frame while claims
+    /// exceed this waits for the release.
+    std::size_t evicting DRX_GUARDED_BY(mu) = 0;
     /// Frames this shard may hold; adaptive via capacity borrowing, total
     /// across shards conserved.
     std::size_t capacity DRX_GUARDED_BY(mu) = 0;
@@ -371,21 +373,37 @@ class ChunkCache final : public io::PrefetchSink {
   [[nodiscard]] bool should_bypass_locked(Shard& s, std::uint64_t address,
                                           bool write) DRX_REQUIRES(s.mu);
 
-  // All *_locked helpers require the owning shard's mu held.
-  [[nodiscard]] Status evict_one_locked(Shard& s, util::MutexLock& lock,
-                          std::vector<std::uint64_t>& write_submits)
-      DRX_REQUIRES(s.mu);
-  void queue_write_locked(Shard& s, std::uint64_t address,
-                          std::unique_ptr<std::byte[]> data,
-                          std::vector<std::uint64_t>& write_submits)
-      DRX_REQUIRES(s.mu);
-  void submit_writes(const std::vector<std::uint64_t>& addresses);
+  /// Frames counted against the shard's capacity: all but the evicted
+  /// victims whose writes are in flight.
+  [[nodiscard]] static std::size_t counted_locked(const Shard& s)
+      DRX_REQUIRES(s.mu) {
+    return s.frames.size() - s.evicting;
+  }
 
   /// One chunk to write back: its address and its raw frame bytes.
   using WriteBack = std::pair<std::uint64_t, const std::byte*>;
+
+  // All *_locked helpers require the owning shard's mu held.
+  /// Evicts the LRU frame (or, failing that, a landed read-ahead nobody
+  /// pinned). A clean victim is erased; a dirty one is claimed into
+  /// `victims` and stays in the table until release(). False = nothing
+  /// is evictable.
+  bool evict_one_locked(Shard& s, std::vector<WriteBack>& victims)
+      DRX_REQUIRES(s.mu);
+  /// Claims a dirty, unpinned frame for a write-back: pins it, marks it
+  /// `flushing` (pins wait for the release) and appends it to `batch`.
+  void claim_locked(Shard& s, std::uint64_t address, Frame& frame,
+                    std::vector<WriteBack>& batch) DRX_REQUIRES(s.mu);
   /// Encodes `chunks` on the calling thread, then stores them with one
   /// DrxFile::write_chunks call under io_mu_ (encoding never holds it).
   [[nodiscard]] Status write_back(std::span<const WriteBack> chunks);
+  /// Drops the claims on `batch` (after its write_back returned `st`),
+  /// locking each run of same-shard entries once: an evicted victim is
+  /// erased, any other frame is unpinned, and re-marked dirty on failure.
+  void release(std::span<const WriteBack> batch, const Status& st);
+  /// Writes an eviction pass's victims: inline in a sync cache, as one
+  /// pool job in an async one.
+  void write_victims(std::vector<WriteBack> victims);
 
   /// Publishes `frame` to the fast-read table when eligible (resident,
   /// no writer pins, not loading/flushing/prefetched, slot free).
@@ -421,8 +439,11 @@ class ChunkCache final : public io::PrefetchSink {
   void recycle_buffer_locked(Shard& s, std::unique_ptr<std::byte[]> buffer)
       DRX_REQUIRES(s.mu);
 
-  // Pool jobs (run on workers; inline mode never reaches them).
-  [[nodiscard]] Status run_write_job(std::uint64_t address);
+  /// write_back + release for evicted victims. A failure is recorded
+  /// (sticky, surfaced by flush()) before the release, so flush's barrier
+  /// cannot pass without seeing it, and the first one dumps the flight
+  /// recorder.
+  [[nodiscard]] Status run_victim_write(std::span<const WriteBack> victims);
   [[nodiscard]] Status run_prefetch_job(std::uint64_t first, std::uint64_t count);
 
   DrxFile* file_;

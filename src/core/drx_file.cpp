@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/scatter.hpp"
@@ -35,6 +36,10 @@ std::uint64_t first_capacity(std::uint64_t stored, std::uint64_t chunk_sz) {
 std::uint64_t grown_capacity(std::uint64_t stored, std::uint64_t chunk_sz) {
   return first_capacity(stored + stored / 8, chunk_sz);
 }
+
+/// Logical bytes one batched box read fetches at most: bounds the stored
+/// scratch of read_box and scan_read_all whatever the array's size.
+constexpr std::uint64_t kReadBatchBytes = std::uint64_t{4} << 20;
 
 /// raw bytes / elapsed microseconds ~= MB/s: the effective-bandwidth
 /// histogram of docs/COMPRESSION.md (what the consumer *observed*,
@@ -275,15 +280,15 @@ Status DrxFile::read_box(const Box& box, MemoryOrder order,
   DRX_CHECK(out.size() == checked_mul(box.volume(), element_bytes()));
   if (box.empty()) return Status::ok();
 
-  std::vector<std::byte> chunk_buf(checked_size(meta_.chunk_bytes()));
-  Status status;
-  for (const auto& [q, cidx] : chunks_by_address(box)) {
-    status = read_chunk(q, chunk_buf);
-    if (!status.is_ok()) break;
-    const Box clip = chunk_space_.chunk_box(cidx).intersect(box);
-    scatter_chunk(chunk_buf, clip, box, order, out);
-  }
-  return status;
+  const auto chunks = chunks_by_address(box);
+  std::vector<std::uint64_t> addresses;
+  addresses.reserve(chunks.size());
+  for (const auto& chunk : chunks) addresses.push_back(chunk.first);
+  return read_runs(addresses, [&](std::size_t i,
+                                  std::span<const std::byte> chunk) {
+    const Box clip = chunk_space_.chunk_box(chunks[i].second).intersect(box);
+    scatter_chunk(chunk, clip, box, order, out);
+  });
 }
 
 Status DrxFile::write_box(const Box& box, MemoryOrder order,
@@ -323,15 +328,45 @@ Status DrxFile::scan_read_all(MemoryOrder order, std::span<std::byte> out) {
   obs::OpScope op("op.scan_read_all");
   const Box full{Index(rank(), 0), meta_.element_bounds};
   DRX_CHECK(out.size() == checked_mul(full.volume(), element_bytes()));
-  std::vector<std::byte> chunk_buf(checked_size(meta_.chunk_bytes()));
   // One strictly sequential pass over the .xta file; F*^-1 recovers each
   // chunk's grid coordinates for placement.
-  for (std::uint64_t q = 0; q < meta_.mapping.total_chunks(); ++q) {
-    DRX_RETURN_IF_ERROR(read_chunk(q, chunk_buf));
+  std::vector<std::uint64_t> addresses(
+      checked_size(meta_.mapping.total_chunks()));
+  std::iota(addresses.begin(), addresses.end(), std::uint64_t{0});
+  return read_runs(addresses, [&](std::size_t q,
+                                  std::span<const std::byte> chunk) {
     const Index cidx = meta_.mapping.index_of(q);
+    // Empty for a chunk entirely in the slack region.
     const Box clip = chunk_space_.chunk_box(cidx).intersect(full);
-    if (clip.empty()) continue;  // chunk entirely in the slack region
-    scatter_chunk(chunk_buf, clip, full, order, out);
+    scatter_chunk(chunk, clip, full, order, out);
+  });
+}
+
+Status DrxFile::read_runs(
+    std::span<const std::uint64_t> addresses,
+    const std::function<void(std::size_t, std::span<const std::byte>)>&
+        visit) {
+  const std::uint64_t cb = meta_.chunk_bytes();
+  const std::size_t max_run =
+      checked_size(std::max<std::uint64_t>(1, kReadBatchBytes / cb));
+  std::vector<std::byte> chunk(checked_size(cb));
+  std::vector<std::byte> scratch;
+  std::vector<StoredRef> refs;
+  for (std::size_t i = 0; i < addresses.size();) {
+    std::size_t n = 1;
+    while (i + n < addresses.size() && n < max_run &&
+           addresses[i + n] == addresses[i] + n) {
+      ++n;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    DRX_RETURN_IF_ERROR(read_chunks_stored(addresses[i], n, scratch, refs));
+    for (std::size_t k = 0; k < n; ++k) {
+      DRX_RETURN_IF_ERROR(decode_chunk(meta_, refs[k].codec,
+                                       refs[k].bytes_in(scratch), chunk));
+      visit(i + k, chunk);
+    }
+    record_effective_read_bw(checked_size(checked_mul(n, cb)), start);
+    i += n;
   }
   return Status::ok();
 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -267,6 +268,13 @@ class DrxFile {
   /// arrays write_chunks keeps slot allocation in address order too).
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Index>> chunks_by_address(
       const Box& box) const;
+  /// Reads and decodes the chunks at ascending `addresses`: each run of
+  /// consecutive addresses is one read_chunks_stored call, capped at a
+  /// fixed byte budget. Calls visit(i, chunk) for addresses[i] in order.
+  [[nodiscard]] Status read_runs(
+      std::span<const std::uint64_t> addresses,
+      const std::function<void(std::size_t, std::span<const std::byte>)>&
+          visit);
   /// Cheap write-path entropy sampling for the drx_doctor
   /// compression-would-pay hint (docs/COMPRESSION.md): every ~64th raw
   /// chunk write trial-encodes a bounded prefix and records the ratio.

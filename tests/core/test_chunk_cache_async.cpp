@@ -166,40 +166,115 @@ TEST(ChunkCacheAsync, WriteBehindDefersEvictionWritebacks) {
   }
 }
 
-TEST(ChunkCacheAsync, MissServedFromWriteBehindQueue) {
-  FaultyStorage::Controls controls;
-  controls.write_delay_ms = 50;  // keep the write-back job in flight
-  DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
-  ChunkCache cache(file, 1, ChunkCache::AsyncOptions{1, 0});
+/// MemStorage whose reads (or writes) wait while `hold_reads` (or
+/// `hold_writes`) is set, counting themselves in `held`: keeps read-ahead
+/// loads or eviction writes in flight for as long as a test needs.
+class HeldStorage final : public pfs::Storage {
+ public:
+  struct Controls {
+    std::atomic<bool> hold_reads{false};
+    std::atomic<bool> hold_writes{false};
+    std::atomic<int> held{0};
+  };
 
-  // Evict a dirty chunk (queuing its slow write-back), then re-pin it.
-  // Whichever wins the race — write still queued, or write already
-  // landed — the newest bytes must come back. Seeing at least one actual
-  // queue hit is timing-dependent per attempt, so retry a few times; in
-  // practice the first attempt hits (the foreground thread reaches the
-  // storage mutex before the worker wakes).
-  bool queue_hit = false;
-  for (int attempt = 0; attempt < 20 && !queue_hit; ++attempt) {
-    auto p = cache.pin(0);
-    ASSERT_TRUE(p.is_ok());
-    const double v = 42.25 + attempt;
-    std::memcpy(p.value().data(), &v, sizeof(v));
-    cache.unpin(0, /*dirty=*/true);
+  explicit HeldStorage(Controls& controls) : controls_(&controls) {}
 
-    auto q = cache.pin(1);  // evicts 0, deferring its write-back
-    ASSERT_TRUE(q.is_ok());
-    cache.unpin(1, false);
-
-    auto back = cache.pin(0);
-    ASSERT_TRUE(back.is_ok());
-    double seen = 0;
-    std::memcpy(&seen, back.value().data(), sizeof(seen));
-    EXPECT_EQ(seen, v);  // stale zeros would mean a lost write
-    cache.unpin(0, false);
-    queue_hit = cache.stats().write_queue_hits > 0;
+  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    wait_while(controls_->hold_reads);
+    return inner_.read_at(offset, out);
   }
-  EXPECT_TRUE(queue_hit);
-  EXPECT_GT(cache.stats().deferred_writebacks, 0u);
+  Status write_at(std::uint64_t offset,
+                  std::span<const std::byte> data) override {
+    wait_while(controls_->hold_writes);
+    return inner_.write_at(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  Status truncate(std::uint64_t new_size) override {
+    return inner_.truncate(new_size);
+  }
+  Status flush() override { return Status::ok(); }
+
+ private:
+  void wait_while(const std::atomic<bool>& hold) {
+    if (!hold.load()) return;
+    ++controls_->held;
+    while (hold.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  Controls* controls_;
+  pfs::MemStorage inner_;
+};
+
+DrxFile make_held_file(HeldStorage::Controls& controls, Shape bounds,
+                       Shape chunk) {
+  DrxFile::Options options;
+  options.dtype = ElementType::kDouble;
+  auto f = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                           std::make_unique<HeldStorage>(controls),
+                           std::move(bounds), std::move(chunk), options);
+  EXPECT_TRUE(f.is_ok()) << f.status();
+  return std::move(f).value();
+}
+
+/// Polls `done` for up to 10 s. A condition still false then means a
+/// deadlock, and the test cannot unwind past a blocked thread, so it
+/// reports and aborts instead of hanging.
+template <typename Pred>
+void wait_until(Pred done, const char* what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "%s: no progress within 10 s (deadlock)\n", what);
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ChunkCacheAsync, MissServedFromWriteBehindQueue) {
+  // A dirty chunk evicted onto a pool worker stays in the pool, claimed,
+  // until its write lands. A pin of it while that write is held waits for
+  // the write and gets the newest bytes back without a fault.
+  HeldStorage::Controls controls;
+  DrxFile file = make_held_file(controls, Shape{4, 4}, Shape{2, 2});
+  ChunkCache cache(file, 1, ChunkCache::AsyncOptions{1, 0});
+  auto p = cache.pin(0);
+  ASSERT_TRUE(p.is_ok());
+  const double v = 42.25;
+  std::memcpy(p.value().data(), &v, sizeof(v));
+  cache.unpin(0, /*dirty=*/true);
+
+  // Evict 0 by reserving a read-ahead frame for 1: this thread does no
+  // storage I/O, which would queue behind the held write on the io mutex.
+  controls.hold_writes = true;
+  cache.prefetch(1, 1);
+  ASSERT_EQ(cache.stats().prefetch_issued, 1u);
+  wait_until([&] { return controls.held.load() == 1; }, "eviction write");
+  const std::uint64_t misses = cache.stats().misses;
+
+  auto back = std::async(std::launch::async, [&cache] {
+    double seen = 0;
+    auto r = cache.pin(0, /*writable=*/false);
+    if (r.is_ok()) {
+      std::memcpy(&seen, r.value().data(), sizeof(seen));
+      cache.unpin(0, /*dirty=*/false, /*writable=*/false);
+    }
+    return seen;
+  });
+  wait_until([&] { return cache.stats().write_queue_hits == 1; },
+             "pin of the evicted chunk");
+  controls.hold_writes = false;
+  wait_until([&] {
+    return back.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  }, "pin after the eviction write");
+  EXPECT_EQ(back.get(), v);  // stale zeros would mean a lost write
+  const ChunkCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.write_queue_hits, 1u);
+  EXPECT_EQ(stats.misses, misses);  // the victim stayed resident
+  EXPECT_GT(stats.deferred_writebacks, 0u);
   ASSERT_TRUE(cache.flush().is_ok());
 }
 
@@ -322,55 +397,14 @@ TEST(ChunkCacheAsync, UnconsumedReadAheadFramesAreEvictable) {
   EXPECT_EQ(cache.stats().prefetch_wasted, 1u);
 }
 
-/// MemStorage whose reads wait while `hold` is set, counting themselves in
-/// `held`: keeps read-ahead frames loading for as long as a test needs.
-class HeldReadStorage final : public pfs::Storage {
- public:
-  struct Controls {
-    std::atomic<bool> hold{false};
-    std::atomic<int> held{0};
-  };
-
-  explicit HeldReadStorage(Controls& controls) : controls_(&controls) {}
-
-  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
-    if (controls_->hold.load()) {
-      ++controls_->held;
-      while (controls_->hold.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    return inner_.read_at(offset, out);
-  }
-  Status write_at(std::uint64_t offset,
-                  std::span<const std::byte> data) override {
-    return inner_.write_at(offset, data);
-  }
-  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
-  Status truncate(std::uint64_t new_size) override {
-    return inner_.truncate(new_size);
-  }
-  Status flush() override { return Status::ok(); }
-
- private:
-  Controls* controls_;
-  pfs::MemStorage inner_;
-};
-
 TEST(ChunkCacheAsync, DemandPinWaitsForInFlightReadAhead) {
   // Read-ahead holds every frame of a 4-frame cache while its reads are
   // held. A demand pin of another chunk waits for the loads to land and
   // then succeeds, instead of failing with "all cache frames are pinned".
-  HeldReadStorage::Controls controls;
-  DrxFile::Options options;
-  options.dtype = ElementType::kDouble;
-  auto f = DrxFile::create(std::make_unique<pfs::MemStorage>(),
-                           std::make_unique<HeldReadStorage>(controls),
-                           Shape{16, 16}, Shape{2, 2}, options);
-  ASSERT_TRUE(f.is_ok()) << f.status();
-  DrxFile file = std::move(f).value();
+  HeldStorage::Controls controls;
+  DrxFile file = make_held_file(controls, Shape{16, 16}, Shape{2, 2});
   ChunkCache cache(file, 4, ChunkCache::AsyncOptions{2, 0, 1});
-  controls.hold = true;
+  controls.hold_reads = true;
   cache.prefetch(0, 2);
   cache.prefetch(8, 2);
   ASSERT_EQ(cache.stats().prefetch_issued, 4u);
@@ -382,7 +416,7 @@ TEST(ChunkCacheAsync, DemandPinWaitsForInFlightReadAhead) {
   // The pin has nothing to evict until the held reads land.
   EXPECT_EQ(pinned.wait_for(std::chrono::milliseconds(20)),
             std::future_status::timeout);
-  controls.hold = false;
+  controls.hold_reads = false;
   if (pinned.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
     std::fprintf(stderr, "demand pin: no progress within 10 s (deadlock)\n");
     std::abort();  // cannot unwind past the blocked thread
@@ -511,7 +545,7 @@ TEST(ChunkCacheAsync, ConcurrentFlushAndSetDoNotRaceOnFrameBuffer) {
 // Many simpi rank-threads hammering ONE shared cache: the TSan target.
 // Each rank owns a disjoint slice of chunk addresses (pin contents are
 // unsynchronized between pinners, so only owners touch bytes), but all
-// ranks contend on the cache structures, LRU, and write-behind queue.
+// ranks contend on the cache structures, LRU, and eviction write-backs.
 TEST(ChunkCacheAsync, ManyRanksHammerOneCache) {
   DrxFile file = make_file(Shape{16, 16}, Shape{2, 2});  // 64 chunks
   ChunkCache cache(file, 8, kAsync);

@@ -7,9 +7,11 @@
 // runs under TSan's amplified pass in CI.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -302,7 +304,10 @@ TEST(ChunkCacheSharded, ConcurrentBorrowingVsFastReadsVsRegistryReset) {
 // Amplified stress: fast-path readers race writers, flushes, and
 // invalidation across shards. Run under TSan in CI (amplified filter);
 // correctness here is "no crash, no torn value": every observed double
-// is a value some writer wrote (or the initial zero).
+// is a value some writer wrote (or the initial zero). A pin does not
+// exclude other pins of its chunk, so a writer's stores and a slow-path
+// reader's copy of one chunk take that chunk's test mutex; fast-path
+// reads take none, since unpublish keeps them off a writer's frame.
 TEST(ChunkCacheSharded, ConcurrentFastReadersVsWritersAndFlush) {
   DrxFile file = make_file(Shape{16, 16}, Shape{2, 2});  // 64 chunks
   ChunkCache cache(file, 32, sharded(8));
@@ -310,21 +315,29 @@ TEST(ChunkCacheSharded, ConcurrentFastReadersVsWritersAndFlush) {
   constexpr int kReaders = 3;
   constexpr int kOpsPerThread = 400;
   std::atomic<bool> failed{false};
+  std::array<std::mutex, 64> chunk_mu;
 
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&cache, &failed, w] {
+    threads.emplace_back([&cache, &failed, &chunk_mu, w] {
       SplitMix64 rng(1000 + static_cast<std::uint64_t>(w));
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::uint64_t q = rng.next_below(64);
-        auto p = cache.pin(q, /*writable=*/true);
-        if (!p.is_ok()) {
-          failed.store(true);
-          return;
+        // Writer w owns the chunks with q % kWriters == w: two writable
+        // pins never store into one chunk at once.
+        const std::uint64_t q =
+            rng.next_below(64 / kWriters) * kWriters +
+            static_cast<std::uint64_t>(w);
+        {
+          std::lock_guard<std::mutex> guard(chunk_mu[q]);
+          auto p = cache.pin(q, /*writable=*/true);
+          if (!p.is_ok()) {
+            failed.store(true);
+            return;
+          }
+          const double v = static_cast<double>(1 + rng.next_below(1000));
+          std::memcpy(p.value().data(), &v, sizeof(v));
+          cache.unpin(q, /*dirty=*/true, /*writable=*/true);
         }
-        const double v = static_cast<double>(1 + rng.next_below(1000));
-        std::memcpy(p.value().data(), &v, sizeof(v));
-        cache.unpin(q, /*dirty=*/true, /*writable=*/true);
         if (i % 128 == 0) {
           DRX_IGNORE_STATUS(cache.flush(),
                             "stress loop: final flush below checks errors");
@@ -333,7 +346,7 @@ TEST(ChunkCacheSharded, ConcurrentFastReadersVsWritersAndFlush) {
     });
   }
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&cache, &failed, r] {
+    threads.emplace_back([&cache, &failed, &chunk_mu, r] {
       SplitMix64 rng(2000 + static_cast<std::uint64_t>(r));
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::uint64_t q = rng.next_below(64);
@@ -341,6 +354,7 @@ TEST(ChunkCacheSharded, ConcurrentFastReadersVsWritersAndFlush) {
         if (auto fast = cache.try_pin_fast(q)) {
           std::memcpy(&v, fast->bytes().data(), sizeof(v));
         } else {
+          std::lock_guard<std::mutex> guard(chunk_mu[q]);
           auto p = cache.pin(q, /*writable=*/false);
           if (!p.is_ok()) {
             failed.store(true);
@@ -489,6 +503,88 @@ TEST(ChunkCacheSharded, FlushWhileWritersStoreNeverWritesAPinnedFrame) {
     std::memcpy(&v, chunk.data(), sizeof(v));
     EXPECT_EQ(v, static_cast<double>(kVersions)) << "chunk " << q;
   }
+}
+
+// An evicted dirty chunk stays visible, claimed, until its write lands,
+// so a pin that races the eviction waits for the write instead of
+// faulting the older stored bytes. On a sync 2-frame cache, a writer
+// commits increasing values to chunk 0 and evicts it by pinning chunks 1
+// and 2; a reader that has seen value v committed must never read chunk
+// 0 older than v. The test mutex only keeps the writer's stores and the
+// reader's copy of chunk 0 apart; it is free while the eviction runs.
+void expect_no_stale_read_after_eviction(codec::CodecId codec) {
+  constexpr std::int32_t kIterations = 2000;
+  DrxFile::Options options;
+  options.dtype = ElementType::kInt32;
+  options.codec = codec;
+  auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                                 std::make_unique<pfs::MemStorage>(),
+                                 Shape{64, 192}, Shape{64, 64}, options);
+  ASSERT_TRUE(created.is_ok()) << created.status();
+  DrxFile file = std::move(created).value();
+  ASSERT_EQ(file.metadata().mapping.total_chunks(), 3u);
+  ChunkCache cache(file, 2, ChunkCache::AsyncOptions{0, 0, 1});
+  std::mutex chunk0;
+  std::atomic<std::int32_t> committed{0};
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::thread writer([&] {
+    for (std::int32_t v = 1; v <= kIterations && !failed.load(); ++v) {
+      {
+        std::lock_guard<std::mutex> guard(chunk0);
+        auto p = cache.pin(0, /*writable=*/true);
+        if (!p.is_ok()) {
+          failed.store(true);
+          break;
+        }
+        for (std::size_t i = 0; i < p.value().size(); i += sizeof(v)) {
+          std::memcpy(p.value().data() + i, &v, sizeof(v));
+        }
+        cache.unpin(0, /*dirty=*/true, /*writable=*/true);
+      }
+      committed.store(v);
+      for (const std::uint64_t q : {1u, 2u}) {  // the pin of 2 evicts 0
+        if (!cache.pin(q, /*writable=*/false).is_ok()) {
+          failed.store(true);
+          break;
+        }
+        cache.unpin(q, /*dirty=*/false, /*writable=*/false);
+      }
+    }
+    done.store(true);
+  });
+  int stale = 0;
+  std::int32_t last_seen = 0;
+  while (!done.load() && !failed.load()) {
+    const std::int32_t floor = committed.load();
+    std::lock_guard<std::mutex> guard(chunk0);
+    auto p = cache.pin(0, /*writable=*/false);
+    if (!p.is_ok()) {
+      failed.store(true);
+      break;
+    }
+    std::memcpy(&last_seen, p.value().data(), sizeof(last_seen));
+    cache.unpin(0, /*dirty=*/false, /*writable=*/false);
+    if (last_seen < floor) ++stale;
+  }
+  writer.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(stale, 0) << "reads of chunk 0 older than its last commit; "
+                      << "last read " << last_seen;
+  ASSERT_TRUE(cache.flush().is_ok());
+  std::vector<std::byte> stored(checked_size(file.chunk_bytes()));
+  ASSERT_TRUE(file.read_chunk(0, stored).is_ok());
+  std::int32_t final_value = 0;
+  std::memcpy(&final_value, stored.data(), sizeof(final_value));
+  EXPECT_EQ(final_value, kIterations);
+}
+
+TEST(ChunkCacheSharded, EvictedDirtyChunkIsNeverReadStaleBitPacked) {
+  expect_no_stale_read_after_eviction(codec::CodecId::kBitPack);
+}
+
+TEST(ChunkCacheSharded, EvictedDirtyChunkIsNeverReadStaleV1) {
+  expect_no_stale_read_after_eviction(codec::CodecId::kNone);
 }
 
 }  // namespace

@@ -372,6 +372,39 @@ TEST_P(ChunkReadP, ConsecutiveChunksAreOneReadRequestAndRoundTrip) {
   EXPECT_EQ(stats.read_requests - before, 1u + kChunks);
 }
 
+// Whole-array box reads fetch each run of consecutive addresses with one
+// read_chunks_stored call: a 64x64 double array in 8x8 chunks, written
+// whole, reads back in one request per read on v1, and on v2, whose fresh
+// slots are dense (64 requests, one per chunk, before batching).
+TEST_P(ChunkReadP, ScanAndFullBoxReadBatchConsecutiveChunks) {
+  DrxFile::Options opts = dbl_opts();
+  opts.codec = GetParam();
+  DrxFile f = make_mem(Shape{64, 64}, Shape{8, 8}, opts);
+  ASSERT_EQ(f.metadata().mapping.total_chunks(), 64u);
+  const Box full{{0, 0}, {64, 64}};
+  // Row-constant values: RLE encodes every chunk, so v2 reads codec bytes.
+  std::vector<double> in(64 * 64);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<double>(i / 64);
+  }
+  ASSERT_TRUE(f.write_box(full, MemoryOrder::kRowMajor,
+                          std::as_bytes(std::span<const double>(in)))
+                  .is_ok());
+  const pfs::IoStats& stats =
+      static_cast<pfs::MemStorage&>(f.data_storage()).stats();
+  for (const bool scan : {true, false}) {
+    std::vector<double> out(in.size(), -1.0);
+    const auto bytes = std::as_writable_bytes(std::span<double>(out));
+    const std::uint64_t before = stats.read_requests;
+    ASSERT_TRUE((scan ? f.scan_read_all(MemoryOrder::kRowMajor, bytes)
+                      : f.read_box(full, MemoryOrder::kRowMajor, bytes))
+                    .is_ok());
+    EXPECT_EQ(stats.read_requests - before, 1u)
+        << (scan ? "scan_read_all" : "read_box");
+    EXPECT_EQ(out, in) << (scan ? "scan_read_all" : "read_box");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Formats, ChunkReadP,
     ::testing::Values(codec::CodecId::kNone, codec::CodecId::kRle),
