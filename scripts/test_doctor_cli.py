@@ -84,6 +84,48 @@ class TestDoctorCli(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("dropped", err)
 
+    def test_one_window_document_feeds_every_window_detector(self):
+        # One drx-window document (the DRX_STATS_SERIES dump format):
+        # byte traffic stops for three epochs and resumes (io-stall),
+        # while 30% of requests miss a 1% latency budget (slo-burn-rate).
+        latency = {"serve.request.latency_us": {
+            "count": 100, "sum": 70 * 512 + 30 * 65000,
+            "buckets": [0] * 10 + [70] + [0] * 6 + [30]}}
+
+        def epoch(i, nbytes, histograms):
+            counters = {"pfs.bytes_read": nbytes} if nbytes else {}
+            return {"t_us": (i + 1) * 20000, "span_us": 20000,
+                    "metrics": {"counters": counters,
+                                "histograms": histograms}}
+
+        doc = {"format": "drx-window", "version": 1,
+               "config": {"epoch_ms": 20, "epochs": 4096,
+                          "horizon_ms": 81920},
+               "slo": [{"histogram": "serve.request.latency_us",
+                        "target_us": 1023, "budget": 0.01}],
+               "now_us": 140000,
+               "window": {"span_us": 140000, "epochs": 7,
+                          "metrics": {"counters": {"pfs.bytes_read": 300},
+                                      "histograms": latency}},
+               "epoch_deltas": [epoch(0, 100, {}), epoch(1, 100, {}),
+                                epoch(2, 0, {}), epoch(3, 0, {}),
+                                epoch(4, 0, {}), epoch(5, 100, latency)]}
+        path = self._trace("series.json", doc)
+        code, out, err = run_doctor("--strict", "--json", "--window", path)
+        self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
+        findings = {f["id"]: f for f in json.loads(out)["findings"]}
+        self.assertEqual(findings["io-stall"]["severity"], "warn")
+        self.assertEqual(findings["slo-burn-rate"]["severity"], "error")
+
+    def test_wrong_format_document_exits_three(self):
+        path = self._trace("series.json", {"format": "drx-series",
+                                           "version": 1, "samples": []})
+        for flag, kind in (("--window", "drx-window"),
+                           ("--flight", "drx-flight")):
+            code, _, err = run_doctor(flag, path)
+            self.assertEqual(code, 3, flag)
+            self.assertIn(f"not a {kind} document", err)
+
     def test_malformed_input_beats_strict_gate(self):
         path = self.tmp / "broken.json"
         path.write_text("]", encoding="utf-8")

@@ -67,11 +67,11 @@ std::uint64_t now_ns() {
 thread_local Registry* tls_registry = nullptr;
 thread_local int tls_rank = -1;
 
-/// Rank registries currently installed by live RankScopes, so a sampler
-/// thread can see in-flight rank increments before they fold. A scope
+/// Rank registries currently installed by live RankScopes, so a window
+/// capture can see in-flight rank increments before they fold. A scope
 /// unregisters *before* merging into its parent: a concurrent
 /// live_snapshot may transiently undercount (monotonically recovered by
-/// the next sample) but never double-counts.
+/// the next capture) but never double-counts.
 util::Mutex g_live_mu;
 std::vector<const Registry*> g_live_registries DRX_GUARDED_BY(g_live_mu);
 
@@ -232,10 +232,9 @@ void Registry::reset() {
   }
   // Window epochs captured before the reset are cumulative pre-reset
   // values; subtracting them from post-reset snapshots would produce
-  // garbage deltas, so drop the ring. Must run after mu_ is released:
-  // a concurrent window_tick holds the window mutex while it calls
-  // live_snapshot() -> Registry::snapshot() -> mu_ (shared), so taking
-  // the window mutex while holding mu_ would be an ABBA deadlock.
+  // garbage deltas, so drop the ring. Runs after mu_ is released: the
+  // window mutex (obs.window) ranks above mu_ (obs.registry) in
+  // docs/LOCK_ORDER.md, so taking it under mu_ would invert the order.
   if (this == &process_registry()) window_clear();
 }
 

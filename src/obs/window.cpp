@@ -1,8 +1,12 @@
 #include "obs/window.hpp"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -24,16 +28,23 @@ struct WindowState {
   util::Mutex mu;
   // Oldest first; trimmed to cfg.epochs + 1 entries so consecutive-pair
   // deltas yield up to cfg.epochs completed epochs.
-  std::vector<Epoch> ring DRX_GUARDED_BY(mu);
+  std::deque<Epoch> ring DRX_GUARDED_BY(mu);
+  // Bumped by every clear. A capture runs live_snapshot() outside mu (it
+  // takes the registry locks, and a reset may be clearing the ring
+  // meanwhile), so it keeps its snapshot only if no clear intervened:
+  // a pre-reset snapshot never lands behind the reset.
+  std::uint64_t generation DRX_GUARDED_BY(mu) = 0;
   WindowConfig override_cfg DRX_GUARDED_BY(mu);
   bool has_override DRX_GUARDED_BY(mu) = false;
   bool env_parsed DRX_GUARDED_BY(mu) = false;
   WindowConfig env_cfg DRX_GUARDED_BY(mu);
-  // A capture runs live_snapshot() outside mu (it takes the registry
-  // locks; see Registry::reset for the inverse ordering). This flag keeps
-  // concurrent tickers from stacking duplicate captures meanwhile.
+  // Keeps concurrent tickers from stacking duplicate captures.
   bool capture_in_flight DRX_GUARDED_BY(mu) = false;
   std::atomic<bool> enabled{true};
+  // The ticker thread; the condition variable makes a stop prompt.
+  util::CondVar ticker_cv;
+  std::thread ticker DRX_GUARDED_BY(mu);
+  bool ticker_stop DRX_GUARDED_BY(mu) = false;
 };
 
 WindowState& state() {
@@ -44,21 +55,24 @@ WindowState& state() {
 WindowConfig parse_env(const char* env) {
   WindowConfig cfg;
   char* end = nullptr;
-  const unsigned long long secs = std::strtoull(env, &end, 10);
-  if (end == env || secs == 0 || secs > 86400) {
-    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch seconds in '" << env
+  const unsigned long long n = std::strtoull(env, &end, 10);
+  const bool ms = end[0] == 'm' && end[1] == 's';
+  if (end == env || n == 0 || n > (ms ? 86400000ULL : 86400ULL)) {
+    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch in '" << env
                    << "', keeping default";
     return cfg;
   }
-  cfg.epoch_ms = static_cast<std::uint64_t>(secs) * 1000;
+  cfg.epoch_ms = ms ? n : n * 1000;
+  if (ms) end += 2;
   if (*end == 'x') {
     const char* epochs_str = end + 1;
-    const unsigned long long n = std::strtoull(epochs_str, &end, 10);
-    if (end == epochs_str || *end != '\0' || n == 0 || n > 1024) {
+    const unsigned long long epochs = std::strtoull(epochs_str, &end, 10);
+    if (end == epochs_str || *end != '\0' || epochs == 0 ||
+        epochs > kMaxWindowEpochs) {
       DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch count in '" << env
                      << "', keeping default";
     } else {
-      cfg.epochs = static_cast<std::size_t>(n);
+      cfg.epochs = static_cast<std::size_t>(epochs);
     }
   } else if (*end != '\0') {
     DRX_LOG(kWarn) << "DRX_STATS_WINDOW: trailing garbage in '" << env
@@ -78,14 +92,23 @@ WindowConfig config_locked(WindowState& s) DRX_REQUIRES(s.mu) {
   return s.env_cfg;
 }
 
+void clear_locked(WindowState& s) DRX_REQUIRES(s.mu) {
+  s.ring.clear();
+  ++s.generation;
+}
+
 /// Captures one epoch. `force` skips the staleness check
 /// (window_record_epoch); otherwise only a due capture proceeds.
 void capture(bool force) {
   WindowState& s = state();
-  const std::uint64_t now_us = trace_now_ns() / 1000;
+  std::uint64_t now_us = 0;
   WindowConfig cfg;
+  std::uint64_t generation = 0;
   {
     util::MutexLock lock(s.mu);
+    // Read under mu, so a capture that survives a clear is stamped
+    // after it.
+    now_us = trace_now_ns() / 1000;
     cfg = config_locked(s);
     if (s.capture_in_flight) return;
     if (!force && !s.ring.empty() &&
@@ -93,6 +116,7 @@ void capture(bool force) {
       return;
     }
     s.capture_in_flight = true;
+    generation = s.generation;
   }
   // The expensive part — registry walks under the registry locks — runs
   // with mu released so scrapes never serialize against metric readers.
@@ -100,13 +124,51 @@ void capture(bool force) {
   {
     util::MutexLock lock(s.mu);
     s.capture_in_flight = false;
-    // A clear/reconfigure may have raced the snapshot; dropping this
-    // capture keeps the ring homogeneous (next tick recaptures).
-    if (!s.ring.empty() && s.ring.back().t_us > now_us) return;
+    // A clear/reconfigure raced the snapshot; dropping this capture
+    // keeps the ring homogeneous (the next tick recaptures).
+    if (s.generation != generation) return;
     s.ring.push_back(Epoch{now_us, std::move(snap)});
-    while (s.ring.size() > cfg.epochs + 1) s.ring.erase(s.ring.begin());
+    while (s.ring.size() > cfg.epochs + 1) s.ring.pop_front();
   }
 }
+
+/// Ticks first, so a run shorter than one epoch still gets its baseline,
+/// then sleeps one epoch (or until stopped).
+void ticker_main() {
+  WindowState& s = state();
+  for (;;) {
+    window_tick();
+    util::MutexLock lock(s.mu);
+    const std::chrono::milliseconds period(config_locked(s).epoch_ms);
+    s.ticker_cv.wait_for(lock, period, [&] {
+      s.mu.assert_held();
+      return s.ticker_stop;
+    });
+    if (s.ticker_stop) return;
+  }
+}
+
+void dump_series_at_exit() {
+  stop_window_ticker();
+  window_record_epoch();  // the run's endpoint, after every rank folded in
+  const char* path = std::getenv("DRX_STATS_SERIES");
+  const Status st = write_window(path);
+  if (!st.is_ok()) {
+    std::fprintf(stderr, "[drx E] DRX_STATS_SERIES dump failed: %s\n",
+                 st.message().c_str());
+  }
+}
+
+/// Reads DRX_STATS_SERIES once at startup.
+struct EnvInit {
+  EnvInit() {
+    const char* path = std::getenv("DRX_STATS_SERIES");
+    if (path == nullptr || path[0] == '\0') return;
+    start_window_ticker();
+    std::atexit(dump_series_at_exit);
+  }
+};
+EnvInit g_env_init;
 
 }  // namespace
 
@@ -126,7 +188,7 @@ void set_window_config(const WindowConfig& cfg) {
     if (s.override_cfg.epochs == 0) s.override_cfg.epochs = 1;
     s.has_override = true;
   }
-  s.ring.clear();
+  clear_locked(s);
 }
 
 bool window_enabled() noexcept {
@@ -148,34 +210,59 @@ void window_record_epoch() {
   capture(/*force=*/true);
 }
 
+void start_window_ticker() {
+  stop_window_ticker();
+  WindowState& s = state();
+  util::MutexLock lock(s.mu);
+  s.ticker_stop = false;
+  s.ticker = std::thread(ticker_main);
+}
+
+void stop_window_ticker() {
+  WindowState& s = state();
+  std::thread ticker;
+  {
+    util::MutexLock lock(s.mu);
+    s.ticker_stop = true;
+    ticker = std::move(s.ticker);
+  }
+  s.ticker_cv.notify_all();
+  if (ticker.joinable()) ticker.join();
+}
+
 void window_clear() {
   WindowState& s = state();
   util::MutexLock lock(s.mu);
-  s.ring.clear();
+  clear_locked(s);
 }
 
 WindowView window_view() {
   WindowView view;
-  window_tick();
   MetricsSnapshot live = live_snapshot();
   view.now_us = trace_now_ns() / 1000;
   WindowState& s = state();
-  util::MutexLock lock(s.mu);
-  if (!window_enabled() || s.ring.empty()) {
-    // No ring: report cumulative since boot so a fresh process still
-    // scrapes something; epochs == 0 marks the fallback.
-    view.delta = std::move(live);
-    return view;
+  {
+    util::MutexLock lock(s.mu);
+    if (!window_enabled() || s.ring.empty()) {
+      // No ring: report cumulative since boot (or since the last reset)
+      // so a fresh process still scrapes something; epochs == 0 marks
+      // the fallback.
+      view.delta = std::move(live);
+    } else {
+      const Epoch& oldest = s.ring.front();
+      view.span_us =
+          view.now_us > oldest.t_us ? view.now_us - oldest.t_us : 0;
+      view.epochs = s.ring.size();
+      view.delta = snapshot_delta(live, oldest.snap);
+    }
   }
-  const Epoch& oldest = s.ring.front();
-  view.span_us = view.now_us > oldest.t_us ? view.now_us - oldest.t_us : 0;
-  view.epochs = s.ring.size();
-  view.delta = snapshot_delta(live, oldest.snap);
+  // Tick after reading, so the capture that seeds an empty ring does
+  // not turn this view into an empty delta.
+  window_tick();
   return view;
 }
 
 std::vector<EpochDelta> window_epochs() {
-  window_tick();
   WindowState& s = state();
   util::MutexLock lock(s.mu);
   std::vector<EpochDelta> out;

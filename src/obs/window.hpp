@@ -1,4 +1,5 @@
-// Sliding-window metric views (docs/OBSERVABILITY.md "Live telemetry").
+// Sliding-window metric views and the metrics time series
+// (docs/OBSERVABILITY.md "Sliding windows").
 //
 // The Registry is cumulative: every counter and log2 histogram only ever
 // grows, which is exactly what makes windows cheap. A window is the
@@ -8,22 +9,28 @@
 // math, and zero added cost on the metric hot path (the <2% obs-overhead
 // gate that bench_obs_overhead enforces).
 //
-// Mechanics: a ring of epoch snapshots. Every DRX_STATS_WINDOW epoch
-// (default 10 s, 6 epochs = a 60 s horizon) the engine captures one
-// cumulative obs::live_snapshot() into the ring. The live window view is
-// then live - oldest-in-ring (saturating, in case a Registry::reset()
-// slipped between captures), and per-epoch deltas between consecutive
-// ring entries feed the drx_doctor window-regression and slo-burn-rate
-// detectors (obs/slo.hpp, obs/analysis.hpp).
+// Mechanics: one ring of timestamped epoch snapshots. Every
+// DRX_STATS_WINDOW epoch (default 10 s, 6 epochs = a 60 s horizon) the
+// engine captures one cumulative obs::live_snapshot() into the ring. The
+// live window view is then live - oldest-in-ring (saturating), and
+// per-epoch deltas between consecutive ring entries feed the drx_doctor
+// io-stall, window-regression and slo-burn-rate detectors (obs/slo.hpp,
+// obs/analysis.hpp).
 //
-// Epoch capture is lazy: window_tick() captures only when the newest
-// epoch is stale, and every consumer (the exporter's scrape handler, the
-// listener's idle loop, window_view() itself) ticks on entry — so a
-// process with no scraper pays nothing at all.
+// Two views, one ring:
+//  - live: capture is lazy. window_tick() captures only when the newest
+//    epoch is stale, and every consumer (the exporter's scrape handler,
+//    the listener's idle loop, window_view() itself) ticks — so a
+//    process with no scraper pays nothing at all.
+//  - series: with DRX_STATS_SERIES=<path> a ticker thread captures at the
+//    epoch cadence from startup, and the ring is dumped to <path> as the
+//    drx-window document at exit (after one final capture). A ring of up
+//    to 4096 short epochs (e.g. DRX_STATS_WINDOW=20msx4096) makes it a
+//    rate-over-time curve of the whole run.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -31,6 +38,8 @@
 namespace drx::obs {
 
 class JsonWriter;
+
+inline constexpr std::size_t kMaxWindowEpochs = 4096;
 
 struct WindowConfig {
   std::uint64_t epoch_ms = 10000;  ///< one epoch of the ring
@@ -41,10 +50,12 @@ struct WindowConfig {
   }
 };
 
-/// DRX_STATS_WINDOW syntax: "<epoch-seconds>" or
-/// "<epoch-seconds>x<epochs>" (e.g. "10x6"); unset keeps the defaults.
-/// Out-of-range pieces fall back to the defaults rather than erroring:
-/// telemetry must never take the process down.
+/// DRX_STATS_WINDOW syntax: "<epoch>[x<epochs>]", where <epoch> is
+/// whole seconds ("10") or milliseconds with an "ms" suffix ("20ms"),
+/// and <epochs> is at most kMaxWindowEpochs (e.g. "10x6", "20msx4096");
+/// unset keeps the defaults. Out-of-range pieces fall back to the
+/// defaults rather than erroring: telemetry must never take the process
+/// down.
 [[nodiscard]] WindowConfig window_config() noexcept;
 
 /// Programmatic override (tests/benches); clears the ring, since epochs
@@ -62,13 +73,22 @@ void set_window_enabled(bool on) noexcept;
 /// Cheap when nothing is due (one mutex + one clock read).
 void window_tick();
 
-/// Unconditionally captures an epoch boundary now (tests; the exporter
-/// calls window_tick instead).
+/// Unconditionally captures an epoch boundary now (tests and the exit
+/// dump; the exporter calls window_tick instead).
 void window_record_epoch();
 
-/// Drops every captured epoch. Registry::reset() calls this so windowed
-/// views never subtract a pre-reset cumulative snapshot from a post-reset
-/// one (the deltas would be nonsense); also used directly by tests.
+/// Starts the ticker thread, which calls window_tick() once per epoch_ms
+/// (re-read each period). Restarts it if already running.
+/// DRX_STATS_SERIES starts it at startup.
+void start_window_ticker();
+
+/// Stops and joins the ticker; the ring survives. Safe when not running.
+void stop_window_ticker();
+
+/// Drops every captured epoch, including a capture in flight.
+/// Registry::reset() calls this so windowed views and the dumped series
+/// never subtract a pre-reset cumulative snapshot from a post-reset one
+/// (the deltas would step backwards); also used directly by tests.
 void window_clear();
 
 /// The live sliding-window view: everything that happened between the
@@ -94,6 +114,7 @@ struct EpochDelta {
 /// Completed epochs, oldest first (at most cfg.epochs of them). The last
 /// entry is the freshest *completed* epoch — the "fast" window the SLO
 /// burn-rate detector compares against the full-horizon "slow" window.
+/// Reads the ring as it stands: unlike window_view(), it does not tick.
 [[nodiscard]] std::vector<EpochDelta> window_epochs();
 
 /// Emits the "drx-window" v1 document: config, SLO targets (obs/slo.hpp),
@@ -101,7 +122,7 @@ struct EpochDelta {
 /// drx_doctor --window ingests.
 void window_to_json(JsonWriter& w);
 
-/// Writes the drx-window document to `path` (DRX_WINDOW_DUMP at exit).
+/// Writes the drx-window document to `path` (DRX_STATS_SERIES at exit).
 [[nodiscard]] Status write_window(const std::string& path);
 
 }  // namespace drx::obs

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace drx::simpi {
@@ -42,9 +41,6 @@ void run(int nprocs, const std::function<void(Comm&)>& body) {
     });
   }
   for (auto& t : threads) t.join();
-  // Rank registries just folded into the process registry; take one final
-  // sample so jobs shorter than DRX_STATS_INTERVAL still get an endpoint.
-  if (obs::sampler_running()) obs::sampler_sample_now();
 }
 
 }  // namespace drx::simpi

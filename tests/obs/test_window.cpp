@@ -1,16 +1,23 @@
 // Sliding-window metric views (obs/window.hpp): snapshot-delta math,
-// epoch ring behavior, the Registry::reset() ring-clear contract, SLO
-// evaluation, and the drx-window document + analyze_window detectors.
+// epoch ring behavior, the ticker thread and its drx-window dump, the
+// Registry::reset() ring-clear contract, SLO evaluation, and the
+// drx-window document + analyze_window detectors.
 #include "obs/window.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 
 namespace drx::obs {
 namespace {
@@ -19,16 +26,24 @@ namespace {
 class WindowTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    stop_window_ticker();
     set_window_enabled(true);
     window_clear();
   }
   void TearDown() override {
+    stop_window_ticker();
     set_window_config(WindowConfig{0, 0});  // back to env/default
     set_slo_targets({});
     set_window_enabled(true);
     window_clear();
   }
 };
+
+// The window ring and its dump replaced the standalone sampler ring and
+// its drx-series dump; these suites keep the sampler's checks, now run
+// against the window engine.
+class SampleRing : public WindowTest {};
+class Sampler : public WindowTest {};
 
 TEST_F(WindowTest, SnapshotDeltaSubtractsAndSaturates) {
   MetricsSnapshot base;
@@ -120,11 +135,119 @@ TEST_F(WindowTest, EpochDeltasAreConsecutivePairs) {
 }
 
 TEST_F(WindowTest, RingIsTrimmedToConfiguredEpochs) {
+  // Ten captures into a 2-epoch ring: only the newest two epochs
+  // survive, oldest first. The long epoch keeps view ticks out.
+  set_window_config(WindowConfig{60000, 2});
+  const MetricId c = counter_id("test.win.trim.counter");
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    process_registry().counter(c).add(i);
+    window_record_epoch();
+  }
+  const std::vector<EpochDelta> epochs = window_epochs();
+  ASSERT_EQ(epochs.size(), 2u);
+  EXPECT_EQ(epochs[0].delta.counter("test.win.trim.counter"), 9u);
+  EXPECT_EQ(epochs[1].delta.counter("test.win.trim.counter"), 10u);
+  EXPECT_LE(epochs[0].t_us, epochs[1].t_us);
+  EXPECT_EQ(window_view().epochs, 3u);  // epochs + 1 ring entries
+}
+
+TEST_F(SampleRing, FillsThenWrapsOldestFirst) {
+  // A 4-epoch ring: it fills one completed epoch per capture after the
+  // first, then keeps only the newest 4, oldest first. Counter value i
+  // is added before capture i, so epoch k's delta names its capture.
+  set_window_config(WindowConfig{60000, 4});
+  EXPECT_TRUE(window_epochs().empty());
+  const MetricId c = counter_id("test.win.ring.counter");
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    process_registry().counter(c).add(i);
+    window_record_epoch();
+  }
+  const std::vector<EpochDelta> partial = window_epochs();
+  ASSERT_EQ(partial.size(), 2u);
+  EXPECT_EQ(partial[0].delta.counter("test.win.ring.counter"), 2u);
+  EXPECT_EQ(partial[1].delta.counter("test.win.ring.counter"), 3u);
+
+  for (std::uint64_t i = 4; i <= 10; ++i) {
+    process_registry().counter(c).add(i);
+    window_record_epoch();
+  }
+  // Ten captures into 4 epochs: the survivors are the last 4.
+  const std::vector<EpochDelta> wrapped = window_epochs();
+  ASSERT_EQ(wrapped.size(), 4u);
+  for (std::size_t k = 0; k < wrapped.size(); ++k) {
+    EXPECT_EQ(wrapped[k].delta.counter("test.win.ring.counter"), 7u + k);
+    if (k > 0) {
+      EXPECT_LE(wrapped[k - 1].t_us, wrapped[k].t_us);
+    }
+  }
+}
+
+TEST_F(WindowTest, ManualCaptureSeesLiveCounters) {
+  // A capture reads the live view: a rank registry's increments count
+  // before the RankScope folds them into the process registry.
+  set_window_config(WindowConfig{60000, 8});
+  const MetricId c = counter_id("test.win.manual.counter");
+  registry().counter(c).add(7);
+  window_record_epoch();
+  {
+    RankScope rank(0);
+    registry().counter(c).add(3);
+    window_record_epoch();
+  }
+  const std::vector<EpochDelta> epochs = window_epochs();
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_EQ(epochs[0].delta.counter("test.win.manual.counter"), 3u);
+}
+
+/// Polls the ring (window_epochs() does not tick, so only the ticker
+/// adds epochs) until it holds `n` completed epochs or 10 s pass.
+std::size_t wait_for_epochs(std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (window_epochs().size() < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return window_epochs().size();
+}
+
+/// End of the newest completed epoch (0 with none).
+std::uint64_t newest_epoch_us() {
+  const std::vector<EpochDelta> epochs = window_epochs();
+  return epochs.empty() ? 0 : epochs.back().t_us;
+}
+
+TEST_F(WindowTest, TickerStartsCapturesAndStops) {
+  set_window_config(WindowConfig{1, 64});
+  start_window_ticker();
+  EXPECT_GE(wait_for_epochs(2), 2u);
+
+  stop_window_ticker();
+  stop_window_ticker();  // idempotent
+
+  // The ring survives the stop, oldest first, and nothing more lands.
+  const std::vector<EpochDelta> epochs = window_epochs();
+  EXPECT_GE(epochs.size(), 2u);
+  for (std::size_t i = 1; i < epochs.size(); ++i) {
+    EXPECT_LE(epochs[i - 1].t_us, epochs[i].t_us);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(newest_epoch_us(), epochs.back().t_us);
+}
+
+TEST_F(WindowTest, TickerRestartFollowsTheNewConfig) {
   set_window_config(WindowConfig{1, 2});
-  for (int i = 0; i < 6; ++i) window_record_epoch();
-  EXPECT_LE(window_epochs().size(), 2u);
-  const WindowView view = window_view();
-  EXPECT_LE(view.epochs, 3u);  // epochs + 1 ring entries at most
+  start_window_ticker();
+  set_window_config(WindowConfig{1, 8});  // clears the ring
+  start_window_ticker();                  // restart joins the old thread
+  // More epochs than the old ring could hold.
+  EXPECT_GE(wait_for_epochs(4), 4u);
+  stop_window_ticker();
+  EXPECT_LE(window_epochs().size(), 8u);
+  // One stop ends the restarted ticker: no older thread lingers.
+  const std::uint64_t newest = newest_epoch_us();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(newest_epoch_us(), newest);
 }
 
 TEST_F(WindowTest, RegistryResetClearsTheRing) {
@@ -146,10 +269,109 @@ TEST_F(WindowTest, RegistryResetClearsTheRing) {
   EXPECT_EQ(window_view().delta.counter("test.win.reset.counter"), 4u);
 }
 
+/// Dumps the ring with write_window (the DRX_STATS_SERIES exit path)
+/// and parses the file back.
+JsonValue dump_and_parse() {
+  const std::string path = ::testing::TempDir() + "drx_window_dump.json";
+  EXPECT_TRUE(write_window(path).is_ok());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_TRUE(json_validate(text.str()));
+  auto doc = json_parse(text.str());
+  EXPECT_TRUE(doc.is_ok());
+  return doc.is_ok() ? std::move(doc.value()) : JsonValue{};
+}
+
+TEST_F(WindowTest, ResetBetweenTickerCapturesNeverStepsBack) {
+  // Regression: the ticker captures before and after a Registry::reset().
+  // A pre-reset capture left in the ring would be the baseline of the
+  // dumped window, stepping every counter back (saturated to 0) and
+  // feeding the detectors an epoch that spans the reset.
+  set_window_config(WindowConfig{50, 64});
+  const MetricId bytes = counter_id("test.win.series.bytes");
+  const MetricId lat = histogram_id("test.win.series.lat_us");
+  std::uint64_t post_reset_bytes = 0;
+  const auto busy_epochs = [] {
+    std::size_t busy = 0;
+    for (const EpochDelta& e : window_epochs()) {
+      if (e.delta.counter("test.win.series.bytes") != 0) ++busy;
+    }
+    return busy;
+  };
+  // Steady traffic (same bytes and latency every step) until `epochs`
+  // completed epochs of the ticker carry some of it.
+  const auto run_until = [&](std::size_t epochs, std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (busy_epochs() < epochs &&
+           std::chrono::steady_clock::now() < deadline) {
+      process_registry().counter(bytes).add(n);
+      process_registry().histogram(lat).observe(500);
+      post_reset_bytes += n;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return busy_epochs();
+  };
+
+  start_window_ticker();
+  ASSERT_GE(run_until(2, 1000000), 2u);
+  const std::uint64_t reset_us = trace_now_ns() / 1000;
+  process_registry().reset();
+  post_reset_bytes = 0;
+  ASSERT_GE(run_until(3, 10), 3u);
+  stop_window_ticker();
+
+  const JsonValue doc = dump_and_parse();
+  const JsonValue* deltas = doc.find("epoch_deltas");
+  ASSERT_NE(deltas, nullptr);
+  ASSERT_GE(deltas->array.size(), 3u);
+  std::uint64_t prev_t_us = 0;
+  for (const JsonValue& e : deltas->array) {
+    // Every epoch starts after the reset: none spans it.
+    EXPECT_GE(e.uint_at("t_us") - e.uint_at("span_us"), reset_us);
+    EXPECT_GT(e.uint_at("t_us"), prev_t_us);
+    prev_t_us = e.uint_at("t_us");
+    const JsonValue* counters = e.find("metrics")->find("counters");
+    EXPECT_LE(counters->uint_at("test.win.series.bytes"), post_reset_bytes);
+  }
+  const JsonValue* window = doc.find("window");
+  ASSERT_NE(window, nullptr);
+  EXPECT_GE(doc.uint_at("now_us") - window->uint_at("span_us"), reset_us);
+  const std::uint64_t window_bytes =
+      window->find("metrics")->find("counters")->uint_at(
+          "test.win.series.bytes");
+  EXPECT_GT(window_bytes, 0u);
+  EXPECT_LE(window_bytes, post_reset_bytes);
+
+  std::vector<analysis::Finding> findings;
+  analysis::analyze_window(doc, findings);
+  for (const analysis::Finding& f : findings) {
+    EXPECT_NE(f.id, "io-stall") << f.message;
+    EXPECT_NE(f.id, "window-regression") << f.message;
+  }
+}
+
+TEST_F(WindowTest, EmptyRingStillValidJson) {
+  set_window_enabled(false);  // no tick may seed the ring
+  JsonWriter w;
+  window_to_json(w);
+  ASSERT_TRUE(json_validate(w.str())) << w.str();
+  auto doc = json_parse(w.str());
+  ASSERT_TRUE(doc.is_ok());
+  EXPECT_TRUE(doc.value().find("epoch_deltas")->array.empty());
+  EXPECT_EQ(doc.value().find("window")->uint_at("epochs"), 0u);
+}
+
 TEST_F(WindowTest, WindowJsonIsValidAndTagged) {
+  set_window_config(WindowConfig{60000, 6});
   const MetricId h = histogram_id("test.win.json.lat_us");
+  const MetricId bytes = counter_id("test.win.json.bytes");
+  process_registry().counter(bytes).add(100);
   window_record_epoch();
   process_registry().histogram(h).observe(512);
+  process_registry().counter(bytes).add(50);
   window_record_epoch();
   JsonWriter w;
   window_to_json(w);
@@ -162,7 +384,46 @@ TEST_F(WindowTest, WindowJsonIsValidAndTagged) {
   EXPECT_NE(doc.value().find("config"), nullptr);
   EXPECT_NE(doc.value().find("slo"), nullptr);
   EXPECT_NE(doc.value().find("window"), nullptr);
-  EXPECT_NE(doc.value().find("epoch_deltas"), nullptr);
+  const JsonValue* deltas = doc.value().find("epoch_deltas");
+  ASSERT_NE(deltas, nullptr);
+  ASSERT_EQ(deltas->array.size(), 1u);
+  // Counter values round-trip through the per-epoch metrics.
+  const MetricsSnapshot epoch =
+      analysis::metrics_from_json(*deltas->array[0].find("metrics"));
+  EXPECT_EQ(epoch.counter("test.win.json.bytes"), 50u);
+}
+
+TEST_F(Sampler, SeriesJsonValidatesAndRoundsTrips) {
+  // The series file (write_window, the DRX_STATS_SERIES exit dump)
+  // validates, and counters round-trip through it: per epoch and in
+  // the merged window.
+  set_window_config(WindowConfig{60000, 6});
+  const MetricId bytes = counter_id("test.win.series.bytes");
+  window_record_epoch();
+  process_registry().counter(bytes).add(100);
+  window_record_epoch();
+  process_registry().counter(bytes).add(50);
+  window_record_epoch();
+
+  const JsonValue doc = dump_and_parse();
+  const JsonValue* format = doc.find("format");
+  ASSERT_NE(format, nullptr);
+  EXPECT_EQ(format->as_string(), "drx-window");
+  const JsonValue* deltas = doc.find("epoch_deltas");
+  ASSERT_NE(deltas, nullptr);
+  ASSERT_TRUE(deltas->is_array());
+  ASSERT_EQ(deltas->array.size(), 2u);
+  EXPECT_EQ(analysis::metrics_from_json(*deltas->array[0].find("metrics"))
+                .counter("test.win.series.bytes"),
+            100u);
+  EXPECT_EQ(analysis::metrics_from_json(*deltas->array[1].find("metrics"))
+                .counter("test.win.series.bytes"),
+            50u);
+  const JsonValue* window = doc.find("window");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(analysis::metrics_from_json(*window->find("metrics"))
+                .counter("test.win.series.bytes"),
+            150u);
 }
 
 // ---- SLO math -------------------------------------------------------------

@@ -4,22 +4,25 @@
 //   --metrics <snapshot.bin>   binary DRX_METRICS snapshot
 //   --profile <profile.json>   DRX_PROFILE access heatmaps
 //   --trace <trace.json>       DRX_TRACE Trace Event Format output
-//   --series <series.json>     DRX_STATS_INTERVAL time series
 //   --bench <report.json>      DRX_BENCH_JSON report file (one doc/line)
 //   --flight <flight.json>     flight-recorder post-mortem dump
-//   --window <window.json>     drx-window live-telemetry document (the
-//                              exporter's /window.json — SLO burn rates
-//                              and in-window latency regressions)
+//   --window <window.json>     drx-window document: the exporter's
+//                              /window.json or the DRX_STATS_SERIES dump
+//                              (SLO burn rates, in-window latency
+//                              regressions, I/O stalls)
 //
 // and runs the obs::analysis detectors: rank/server/aggregator imbalance,
 // cache thrash, prefetch effectiveness, dropped traces, critical path,
-// and I/O stalls. Output is a human report, or strict JSON with --json.
+// SLO burn rate, latency regression and I/O stalls. Output is a human
+// report, or strict JSON with --json.
 //
 // Analysis verdicts (imbalance, thrash, stalls) are advisory: a CI job
 // should read them, not fail on them — a multi-phase bench legitimately
 // accumulates skewed-looking totals. --strict gates only on findings
 // that mean the artifacts themselves are untrustworthy (dropped trace
-// events); unreadable or malformed inputs always fail with exit 3.
+// events); unreadable or malformed inputs — including a --flight or
+// --window document whose format marker is wrong — always fail with
+// exit 3.
 //
 // Exit codes: 0 ok; 1 dropped trace events and --strict was given;
 // 2 usage; 3 an input file was unreadable or malformed.
@@ -87,30 +90,22 @@ int analyze_trace_file(const std::string& path, Report& report) {
   return 0;
 }
 
-int analyze_series_file(const std::string& path, Report& report) {
+/// --flight and --window: one JSON document per file. A *-bad-format
+/// finding means the file is not the artifact its flag names, which is
+/// malformed input, not a verdict.
+int analyze_doc_file(const std::string& path, Report& report,
+                     void (*analyze)(const JsonValue&,
+                                     std::vector<Finding>&)) {
   std::string raw;
   if (!read_file(path, raw)) return fail_input(path, "cannot read");
   auto doc = drx::obs::json_parse(raw);
   if (!doc.is_ok()) return fail_input(path, doc.status().to_string());
-  drx::obs::analysis::analyze_series(doc.value(), report.findings);
-  return 0;
-}
-
-int analyze_flight_file(const std::string& path, Report& report) {
-  std::string raw;
-  if (!read_file(path, raw)) return fail_input(path, "cannot read");
-  auto doc = drx::obs::json_parse(raw);
-  if (!doc.is_ok()) return fail_input(path, doc.status().to_string());
-  drx::obs::analysis::analyze_flight(doc.value(), report.findings);
-  return 0;
-}
-
-int analyze_window_file(const std::string& path, Report& report) {
-  std::string raw;
-  if (!read_file(path, raw)) return fail_input(path, "cannot read");
-  auto doc = drx::obs::json_parse(raw);
-  if (!doc.is_ok()) return fail_input(path, doc.status().to_string());
-  drx::obs::analysis::analyze_window(doc.value(), report.findings);
+  std::vector<Finding> fs;
+  analyze(doc.value(), fs);
+  for (Finding& f : fs) {
+    if (f.id.ends_with("-bad-format")) return fail_input(path, f.message);
+    report.findings.push_back(std::move(f));
+  }
   return 0;
 }
 
@@ -152,7 +147,6 @@ void usage() {
                "                  [--metrics <snapshot.bin>]\n"
                "                  [--profile <profile.json>]\n"
                "                  [--trace <trace.json>]\n"
-               "                  [--series <series.json>]\n"
                "                  [--bench <report.json>]\n"
                "                  [--flight <flight.json>]\n"
                "                  [--window <window.json>]\n");
@@ -171,7 +165,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--metrics" || arg == "--profile" || arg == "--trace" ||
-               arg == "--series" || arg == "--bench" ||
+               arg == "--bench" ||
                arg == "--flight" || arg == "--window") {
       if (i + 1 >= argc) {
         usage();
@@ -194,10 +188,13 @@ int main(int argc, char** argv) {
     if (kind == "metrics") rc = analyze_metrics_file(path, report);
     if (kind == "profile") rc = analyze_profile_file(path, report);
     if (kind == "trace") rc = analyze_trace_file(path, report);
-    if (kind == "series") rc = analyze_series_file(path, report);
     if (kind == "bench") rc = analyze_bench_file(path, report);
-    if (kind == "flight") rc = analyze_flight_file(path, report);
-    if (kind == "window") rc = analyze_window_file(path, report);
+    if (kind == "flight") {
+      rc = analyze_doc_file(path, report, drx::obs::analysis::analyze_flight);
+    }
+    if (kind == "window") {
+      rc = analyze_doc_file(path, report, drx::obs::analysis::analyze_window);
+    }
     if (rc != 0) return rc;
   }
 
