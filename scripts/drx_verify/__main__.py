@@ -1,12 +1,9 @@
-"""drx_verify — whole-program lock-order / error-discipline / layering
-analyzer for the drx tree.
+"""drx_verify — whole-program lock-order / error-discipline / layering /
+DRX-invariant analyzer for the drx tree.
 
 Usage:
     python3 scripts/drx_verify [--root DIR] [--src-root SUBDIR]
                                [--hierarchy docs/LOCK_ORDER.md]
-                               [--frontend auto|ast|source]
-                               [--compile-commands build/compile_commands.json]
-                               [--ast-cache DIR] [--clang BIN]
                                [--json OUT.json] [--text OUT.txt]
                                [--strict] [-q]
 
@@ -14,31 +11,21 @@ Exit codes:
     0  no unsuppressed findings
     1  findings (or, with --strict, suppressions lacking justification)
     2  usage error
-    3  malformed input (compile_commands, AST JSON, hierarchy doc)
-
-Frontends: `ast` consumes clang AST JSON via compile_commands.json
-(high fidelity; CI). `source` is the built-in parser (no toolchain
-needed; powers the local ctest gate). `auto` picks `ast` when a
-compile_commands path is given and clang is runnable, else `source`.
-Include edges for the layering pass are always scanned textually.
+    3  malformed input (unreadable source, hierarchy doc)
 """
 
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 from pathlib import Path
 
-from ast_frontend import AstError, AstFrontend
-from facts import TUFacts, dedupe
 from hierarchy import HierarchyError, load as load_hierarchy
 from passes import build_program, run_all
 from report import (apply_suppressions, exit_code, render_json, render_text,
                     scan_suppressions)
 from source_frontend import SourceFrontend
 
-EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
@@ -51,15 +38,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                    help="subtree to analyze, relative to --root")
     p.add_argument("--hierarchy", type=Path, default=None,
                    help="lock hierarchy doc (default: ROOT/docs/LOCK_ORDER.md)")
-    p.add_argument("--frontend", choices=("auto", "ast", "source"),
-                   default="auto")
-    p.add_argument("--compile-commands", type=Path, default=None)
-    p.add_argument("--ast-cache", type=Path, default=None,
-                   help="directory for cached AST dumps (keyed on "
-                        "source hash + command)")
-    p.add_argument("--clang", default="",
-                   help="clang driver to use for AST dumps (default: the "
-                        "compiler from compile_commands)")
     p.add_argument("--json", type=Path, default=None,
                    help="write findings as JSON to this path")
     p.add_argument("--text", type=Path, default=None,
@@ -72,16 +50,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         raise SystemExit(EXIT_USAGE if e.code not in (0, None) else 0)
-
-
-def pick_frontend(args: argparse.Namespace) -> str:
-    if args.frontend != "auto":
-        return args.frontend
-    if args.compile_commands is not None and args.compile_commands.exists():
-        clang = args.clang or "clang++"
-        if shutil.which(clang):
-            return "ast"
-    return "source"
 
 
 def main(argv: list[str]) -> int:
@@ -99,42 +67,15 @@ def main(argv: list[str]) -> int:
         print(f"drx_verify: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    source = SourceFrontend(root)
-    frontend = pick_frontend(args)
     try:
-        if frontend == "ast":
-            if args.compile_commands is None:
-                print("drx_verify: --frontend ast requires "
-                      "--compile-commands", file=sys.stderr)
-                return EXIT_USAGE
-            ast = AstFrontend(root, args.compile_commands,
-                              cache_dir=args.ast_cache, clang=args.clang)
-            prefix = str(src_root) + "/"
-            rel_prefix = args.src_root.rstrip("/") + "/"
-
-            def in_tree(f: str) -> bool:
-                return f.startswith(prefix) or f.startswith(rel_prefix)
-
-            facts = ast.parse_all(in_tree)
-            # Include edges are textual regardless of frontend.
-            facts.merge(TUFacts(
-                includes=source.parse_tree(args.src_root).includes))
-        else:
-            facts = source.parse_tree(args.src_root)
-    except AstError as e:
-        print(f"drx_verify: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        facts = SourceFrontend(root).parse_tree(args.src_root)
     except (OSError, UnicodeDecodeError) as e:
         print(f"drx_verify: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    facts = dedupe(facts)
-    analyzed_files = {fn.file for fn in facts.functions} \
-        | {inc.file for inc in facts.includes}
-    sup = scan_suppressions(root, analyzed_files)
-
+    sup = scan_suppressions(root, facts.files())
     prog = build_program(facts, hier)
-    findings = run_all(prog, sup.module_overrides)
+    findings = run_all(prog, sup.module_overrides, set(sup.by_site))
     apply_suppressions(findings, sup)
 
     text = render_text(findings, args.strict)

@@ -1,8 +1,7 @@
-"""Fact IR shared by the drx_verify frontends.
+"""Fact IR of drx_verify.
 
-Both frontends (the clang AST JSON walker and the built-in source
-parser) lower a translation unit to the same small vocabulary of facts;
-the four analysis passes never look at C++ again after this point.
+The source frontend lowers each file to a small vocabulary of facts;
+the analysis passes never look at C++ again after this point.
 
 The unit of analysis is the *function body*: an ordered list of Events
 (lock acquisitions/releases, calls, error-value discards) plus a
@@ -24,7 +23,9 @@ from dataclasses import dataclass, field
 ACQUIRE = "acquire"          # data: lock expr text; arg2: scope depth
 RELEASE = "release"          # data: lock expr text (explicit .unlock())
 REACQUIRE = "reacquire"      # data: lock expr text (explicit .lock())
-CALL = "call"                # data: callee text (e.g. "file_->read_chunk")
+CALL = "call"                # data: callee text (e.g. "file_->read_chunk");
+                             # args: argument text through the line on
+                             # which the first argument ends
 DISCARD = "discard"          # data: callee text of a (void)-cast call
 VALUE_CALL = "value_call"    # data: object text of a .value() call
 OK_CHECK = "ok_check"        # data: object text of an is_ok()/bool check
@@ -37,6 +38,7 @@ class Event:
     data: str
     line: int
     depth: int = 0  # brace depth relative to function body start
+    args: str = ""  # CALL only: argument text, whitespace-collapsed
 
 
 @dataclass
@@ -64,31 +66,46 @@ class Include:
 
 
 @dataclass
+class SyncUse:
+    """A raw std:: synchronization primitive named anywhere in a file."""
+    file: str
+    line: int
+    primitive: str  # e.g. "std::mutex"
+
+
+@dataclass
+class MutexMember:
+    """A util::Mutex / util::SharedMutex declaration (member or static)."""
+    file: str
+    line: int
+    name: str
+    annotated: bool  # some DRX_GUARDED_BY/DRX_REQUIRES in the file names it
+
+
+@dataclass
 class TUFacts:
-    """Facts extracted from one translation unit (or one source file)."""
+    """Facts extracted from one source file (or merged over a tree)."""
     functions: list[Function] = field(default_factory=list)
     includes: list[Include] = field(default_factory=list)
+    sync_uses: list[SyncUse] = field(default_factory=list)
+    mutex_members: list[MutexMember] = field(default_factory=list)
 
     def merge(self, other: "TUFacts") -> None:
         self.functions.extend(other.functions)
         self.includes.extend(other.includes)
+        self.sync_uses.extend(other.sync_uses)
+        self.mutex_members.extend(other.mutex_members)
+
+    def files(self) -> set[str]:
+        return ({fn.file for fn in self.functions}
+                | {inc.file for inc in self.includes}
+                | {use.file for use in self.sync_uses}
+                | {mm.file for mm in self.mutex_members})
 
 
-def dedupe(facts: TUFacts) -> TUFacts:
-    """Drops duplicate facts (a header parsed through several TUs)."""
-    out = TUFacts()
-    seen_fn: set[tuple[str, str, int]] = set()
-    for fn in facts.functions:
-        key = (fn.name, fn.file, fn.line)
-        if key in seen_fn:
-            continue
-        seen_fn.add(key)
-        out.functions.append(fn)
-    seen_inc: set[tuple[str, str, int]] = set()
-    for inc in facts.includes:
-        key = (inc.file, inc.target, inc.line)
-        if key in seen_inc:
-            continue
-        seen_inc.add(key)
-        out.includes.append(inc)
-    return out
+def callee_base(callee: str) -> str:
+    """`file_->read_chunk` -> `read_chunk`; template args are dropped
+    (`std::make_unique<std::byte[]>` -> `make_unique`)."""
+    bare = callee.split("<", 1)[0]
+    return bare.split("->")[-1].split(".")[-1].split("::")[-1]
+

@@ -67,9 +67,6 @@ class Hierarchy:
                     best, best_len = dom, len(pat.pattern)
         return best
 
-    def level(self, name: str) -> int:
-        return self.domains[name].level
-
     def blocking_reason(self, callee: str) -> str | None:
         for pat, why in self.blocking:
             if pat.search(callee):

@@ -1,4 +1,4 @@
-"""The four drx_verify analysis passes over the fact IR.
+"""The drx_verify analysis passes over the fact IR.
 
 All passes operate on a whole-program `Program` built from merged
 TUFacts — C++ never reappears past this point.
@@ -15,14 +15,20 @@ TUFacts — C++ never reappears past this point.
  error-discipline    discarded Status/Result values, `.value()` without
                      an is_ok() dominator, raw negative error returns.
  layering            module DAG enforcement from include edges.
+ call rules          per-call-site invariants (hot-path-obs-guard,
+                     axial-mutation, pool-submit-opctx,
+                     element-granular-copy).
+ sync rules          raw-sync-primitive and unannotated-mutex-member
+                     over the whole-file synchronization facts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from facts import (ACQUIRE, CALL, DISCARD, Function, OK_CHECK, REACQUIRE,
-                   RELEASE, RETURN_INT, TUFacts, VALUE_CALL)
+                   RELEASE, RETURN_INT, TUFacts, VALUE_CALL, callee_base)
 from hierarchy import Domain, Hierarchy
 
 MAX_WITNESS_DEPTH = 12
@@ -67,6 +73,10 @@ class Program:
     functions: dict[str, Function] = field(default_factory=dict)
     facts: TUFacts | None = None
     module_overrides: dict[str, str] = field(default_factory=dict)
+    # (file, line, rule) sites carrying a drx-verify allow(...) comment.
+    # A suppressed blocking call does not make its function a blocking
+    # path for callers.
+    allowed: set[tuple[str, int, str]] = field(default_factory=set)
 
     # memoized interprocedural summaries, keyed by function name
     _acq: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -119,7 +129,7 @@ def _resolve_callees(prog: Program, callee_text: str,
     own module or a strictly lower layer — sibling modules cannot even
     include each other's headers, so a same-level cross-module
     candidate is always a base-name collision, not a real callee."""
-    base = callee_text.split("->")[-1].split(".")[-1].split("::")[-1]
+    base = callee_base(callee_text)
     if callee_text in prog.functions:
         return [callee_text]
     if base in GENERIC_BASES:
@@ -221,7 +231,8 @@ def _compute_summaries(prog: Program) -> None:
         for ev, suspended in _iter_suspended(fn):
             # A blocking op inside a suspension window runs with the
             # caller's lock released — not a blocking path for callers.
-            if ev.kind != CALL or suspended:
+            if ev.kind != CALL or suspended or \
+                    (fn.file, ev.line, "blocking-under-lock") in prog.allowed:
                 continue
             why = prog.hierarchy.blocking_reason(ev.data)
             if why is not None:
@@ -523,16 +534,132 @@ def check_layering(prog: Program,
     return findings
 
 
-def run_all(prog: Program,
-            module_overrides: dict[str, str]) -> list[Finding]:
+def logical_path(file: str, overrides: dict[str, str]) -> str:
+    """`src/core/drx_file.cpp` -> `core/drx_file.cpp`. A file that
+    reassigns its module (the seeded corpus) is placed in that module."""
+    mod = file_module(file, overrides)
+    return f"{mod}/{file.rsplit('/', 1)[-1]}" if mod else file
+
+
+# Data-plane files where a per-element walk is a coalescing regression
+# (docs/PERFORMANCE.md): element movement goes through core::CopyPlan.
+HOT_COPY_FILES = frozenset({
+    "core/scatter.hpp", "core/copy_plan.hpp", "core/copy_plan.cpp",
+    "core/drx_file.cpp", "core/chunk_cache.hpp", "core/chunk_cache.cpp",
+    "core/drxmp.hpp", "core/drxmp.cpp", "baselines/dra_like.cpp",
+    "baselines/rowmajor_file.cpp",
+})
+# The only files that may grow the axial vectors directly.
+AXIAL_OWNERS = frozenset({
+    "core/metadata.hpp", "core/metadata.cpp",
+    "core/axial_mapping.hpp", "core/axial_mapping.cpp",
+})
+OBS_SLOW_RE = re.compile(r"^(?:profile_\w+_slow|record_span)$")
+AXIAL_EXTEND_RE = re.compile(r"\bmapping(?:\.|->)extend$")
+CHUNK_GRID_RE = re.compile(r"chunk|covering|zone", re.IGNORECASE)
+CURRENT_OP_RE = re.compile(r"\bcurrent_op\s*\(\s*\)")
+EMPTY_OPCTX_RE = re.compile(r"\bOpContext\s*\{")
+
+
+def _first_arg(args: str) -> str:
+    depth = 0
+    for i, c in enumerate(args):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            return args[:i]
+    return args
+
+
+def check_call_rules(prog: Program) -> list[Finding]:
+    """Per-call-site invariants. Every parsed body is checked, including
+    overloads that build_program collapsed under one name."""
+    findings: list[Finding] = []
+    assert prog.facts is not None
+    for fn in prog.facts.functions:
+        path = logical_path(fn.file, prog.module_overrides)
+        module = path.split("/", 1)[0]
+        for ev in fn.events:
+            if ev.kind != CALL:
+                continue
+            base = callee_base(ev.data)
+            if module != "obs" and OBS_SLOW_RE.match(base):
+                findings.append(Finding(
+                    "hot-path-obs-guard", fn.file, ev.line,
+                    f"{base}() bypasses the relaxed-atomic enabled guard; "
+                    f"call the inline obs:: wrapper instead"))
+            if path not in AXIAL_OWNERS and AXIAL_EXTEND_RE.search(ev.data):
+                findings.append(Finding(
+                    "axial-mutation", fn.file, ev.line,
+                    "direct mapping.extend(); grow through "
+                    "Metadata::extend_elements so element bounds and the "
+                    "chunk grid stay consistent"))
+            if module != "io" and ev.data != base \
+                    and base in ("submit", "submit_with_future"):
+                first = _first_arg(ev.args)
+                if EMPTY_OPCTX_RE.search(first):
+                    findings.append(Finding(
+                        "pool-submit-opctx", fn.file, ev.line,
+                        "AsyncIoPool submit with an empty obs::OpContext{} "
+                        "severs the causal chain; pass obs::current_op() "
+                        "or suppress with the reason no op can be in "
+                        "flight"))
+                elif not CURRENT_OP_RE.search(first):
+                    findings.append(Finding(
+                        "pool-submit-opctx", fn.file, ev.line,
+                        "AsyncIoPool submit without a causal context; pass "
+                        "obs::current_op() as the first argument so stage "
+                        "attribution and flow arrows follow the op"))
+            if path in HOT_COPY_FILES and base == "for_each_index" \
+                    and not CHUNK_GRID_RE.search(ev.args):
+                findings.append(Finding(
+                    "element-granular-copy", fn.file, ev.line,
+                    "per-element for_each_index walk in a data-plane hot "
+                    "path; move elements through the run-coalesced "
+                    "core::CopyPlan (a chunk-grid walk is recognized by "
+                    "chunk/covering/zone in its arguments)"))
+    return findings
+
+
+def check_sync_rules(prog: Program) -> list[Finding]:
+    """All locking goes through the annotated util/sync.hpp wrappers, and
+    every wrapper mutex names what it guards."""
+    findings: list[Finding] = []
+    assert prog.facts is not None
+    exempt = "util/sync.hpp"
+    for use in prog.facts.sync_uses:
+        if logical_path(use.file, prog.module_overrides) != exempt:
+            findings.append(Finding(
+                "raw-sync-primitive", use.file, use.line,
+                f"{use.primitive} outside util/sync.hpp; use the "
+                f"annotated drx::util wrappers"))
+    for mm in prog.facts.mutex_members:
+        if not mm.annotated and \
+                logical_path(mm.file, prog.module_overrides) != exempt:
+            findings.append(Finding(
+                "unannotated-mutex-member", mm.file, mm.line,
+                f"mutex '{mm.name}' has no DRX_GUARDED_BY/DRX_REQUIRES "
+                f"naming it; annotate what it protects or suppress with "
+                f"the reason it guards state the annotations cannot "
+                f"express"))
+    return findings
+
+
+def run_all(prog: Program, module_overrides: dict[str, str],
+            allowed: set[tuple[str, int, str]]) -> list[Finding]:
     prog.module_overrides = module_overrides
+    prog.allowed = allowed
     findings: list[Finding] = []
     findings += check_lock_order(prog)
     findings += check_blocking_under_lock(prog)
     findings += check_error_discipline(prog)
     findings += check_layering(prog, module_overrides)
-    # Deterministic order + dedupe (several TUs can re-derive a header
-    # finding).
+    findings += check_call_rules(prog)
+    findings += check_sync_rules(prog)
+    # Deterministic order + dedupe (one site can be re-derived through
+    # several call paths).
     seen = set()
     out = []
     for f in sorted(findings, key=lambda f: (f.file, f.line, f.rule,

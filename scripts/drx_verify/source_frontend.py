@@ -1,20 +1,20 @@
-"""Built-in source frontend: lowers DRX-style C++ to the fact IR.
+"""Source frontend: lowers DRX-style C++ to the fact IR.
 
-A deliberately small recognizer for the project's house style (clang
-AST JSON is the high-fidelity frontend — `ast_frontend.py` — this one
-exists so the analyzer runs anywhere python3 runs, e.g. the tier-1
-ctest gate on a GCC-only box, and doubles as a cross-check).
-
+A deliberately small recognizer for the project's house style, so the
+analyzer runs anywhere python3 runs (no compiler or compile database).
 It is a line-oriented scanner with a scope stack, not a C++ parser:
  - namespaces / classes / functions / lambdas are tracked by matching
    their opening lines and counting braces;
  - events inside function bodies (lock acquisitions through the
-   util/sync.hpp wrappers, calls, `(void)` discards, `.value()` /
-   `.is_ok()`, raw-int error returns) are matched per line on
-   comment/string-stripped text;
+   util/sync.hpp wrappers, calls with their argument text, `(void)`
+   discards, `.value()` / `.is_ok()`, raw-int error returns) are
+   matched per line on comment/string-stripped text;
  - lambdas become synthetic functions that are NOT executed at their
    definition point (see facts.py); the name of the call they are
-   passed to is recorded for entry-context decisions.
+   passed to is recorded for entry-context decisions;
+ - include edges, raw std:: synchronization primitives and util::Mutex
+   declarations are whole-file textual scans (they live outside
+   function bodies).
 
 Known blind spots (shared with the passes' design assumptions):
 overloads collapse to one name, templates are scanned as text, and a
@@ -28,8 +28,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from facts import (ACQUIRE, CALL, DISCARD, Event, Function, Include, OK_CHECK,
-                   REACQUIRE, RELEASE, RETURN_INT, TUFacts, VALUE_CALL)
+from facts import (ACQUIRE, CALL, DISCARD, Event, Function, Include,
+                   MutexMember, OK_CHECK, REACQUIRE, RELEASE, RETURN_INT,
+                   SyncUse, TUFacts, VALUE_CALL, callee_base)
 
 KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "new",
@@ -52,7 +53,10 @@ UNLOCK_RE = re.compile(r"\b(\w+)\.unlock\s*\(\s*\)")
 RELOCK_RE = re.compile(r"\b(\w+)\.lock\s*\(\s*\)")
 CALL_RE = re.compile(
     r"(?<![\w.])((?:[A-Za-z_][\w]*(?:::[A-Za-z_]\w*)*(?:\[[^\[\]]*\])?"
-    r"(?:\s*(?:->|\.)\s*[A-Za-z_]\w*(?:\[[^\[\]]*\])?)*))\s*\(")
+    r"(?:\s*(?:->|\.)\s*[A-Za-z_]\w*(?:\[[^\[\]]*\])?)*)"
+    r"(?:<[^<>();]*>)?)\s*\(")                       # explicit template args
+# Argument text beyond this many characters is not recorded.
+MAX_ARGS_CHARS = 1000
 # Local/member declarations worth remembering for receiver typing:
 # `BlockDevice& device = ...` and the element type of container-of-T
 # declarations like `std::vector<std::unique_ptr<BlockDevice>> datafiles;`.
@@ -85,6 +89,13 @@ SIGNATURE_RE = re.compile(
     r"(?:DRX_\w+(?:\([^{}]*?\))?\s*)*"              # attribute macros
     r"(?:->\s*[\w:<>,&*\s]+?)?\s*"                  # trailing return
     r"(?::\s*[^{};]*)?$")                           # ctor init list
+RAW_SYNC_RE = re.compile(
+    r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|condition_variable"
+    r"(_any)?|lock_guard|unique_lock|shared_lock|scoped_lock)\b")
+MUTEX_DECL_RE = re.compile(
+    r"^\s*(?:mutable\s+|static\s+)*"
+    r"(?:(?:drx::)?util::(?:Shared)?Mutex"
+    r"|std::vector<\s*(?:drx::)?util::(?:Shared)?Mutex\s*>)\s+(\w+)\s*;")
 STATUS_DECL_RE = re.compile(
     r"(?:virtual\s+|static\s+|inline\s+|\[\[nodiscard\]\]\s*)*"
     r"(Status|Result\s*<[^;{()]*>)\s+([A-Za-z_]\w*)\s*\(")
@@ -167,8 +178,16 @@ def _passed_to(prefix: str) -> str:
                 stack.pop()
         else:
             name = m.group(1) or ""
-            stack.append(name.split("->")[-1].split(".")[-1].split("::")[-1])
+            stack.append(callee_base(name))
     return stack[-1] if stack else ""
+
+
+def _lock_contract(sig: str, fn: Function) -> None:
+    """Records the DRX_REQUIRES / DRX_ACQUIRE lock exprs of a signature."""
+    for rm in REQUIRES_RE.finditer(sig):
+        fn.requires.extend(a.strip() for a in rm.group(1).split(","))
+    for am in ACQUIRE_ANN_RE.finditer(sig):
+        fn.acquires.extend(a.strip() for a in am.group(1).split(","))
 
 
 class SourceFrontend:
@@ -180,6 +199,11 @@ class SourceFrontend:
         raw_lines = path.read_text(encoding="utf-8").splitlines()
         lines = strip_comments(raw_lines)
         facts = TUFacts()
+        # Joined stripped text: CALL argument lists may span lines.
+        self.text = "\n".join(lines)
+        self.line_starts = [0]
+        for code in lines:
+            self.line_starts.append(self.line_starts[-1] + len(code) + 1)
         # File-local receiver typing: `device.truncate(...)` with
         # `BlockDevice& device` in this file resolves to the exact
         # `BlockDevice::truncate` instead of fanning out to every
@@ -194,11 +218,22 @@ class SourceFrontend:
             m = INCLUDE_RE.match(raw)
             if m:
                 facts.includes.append(Include(rel, m.group(1), i + 1))
+        for i, code in enumerate(lines):
+            sm = RAW_SYNC_RE.search(code)
+            if sm:
+                facts.sync_uses.append(SyncUse(rel, i + 1, sm.group(0)))
+            mm = MUTEX_DECL_RE.match(code)
+            if mm:
+                named = re.search(
+                    r"DRX_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES"
+                    r"|REQUIRES_SHARED)\(\s*" + re.escape(mm.group(1))
+                    + r"\s*\)", self.text)
+                facts.mutex_members.append(MutexMember(
+                    rel, i + 1, mm.group(1), named is not None))
 
         depth = 0
         scopes: list[_Scope] = []
         pending: list[tuple[int, str]] = []  # (line_no, text) signature buffer
-        lambda_counter = 0
 
         def context_name() -> str:
             parts = [s.name for s in scopes
@@ -295,19 +330,14 @@ class SourceFrontend:
                         f = Function(name=name, file=rel,
                                      line=pending[0][0],
                                      return_type=re.sub(r"\s+", "", ret))
-                        for rm in REQUIRES_RE.finditer(sig):
-                            f.requires.extend(
-                                a.strip() for a in rm.group(1).split(","))
-                        for am in ACQUIRE_ANN_RE.finditer(sig):
-                            f.acquires.extend(
-                                a.strip() for a in am.group(1).split(","))
+                        _lock_contract(sig, f)
                         facts.functions.append(f)
                         if opened > 0:
                             scopes.append(_Scope("function", name, depth, f))
                             # Process the remainder after '{' for events.
-                            rest = code[code.index("{") + 1:]
-                            self._scan_events(rest, line_no, f,
-                                              scopes[-1], depth + 1)
+                            col = code.index("{") + 1
+                            self._scan_events(code[col:], line_no, f,
+                                              scopes[-1], depth + 1, col)
                         depth += opened
                         # Brace-balanced one-liner: pop immediately below.
                         while scopes and scopes[-1].kind == "function" \
@@ -320,6 +350,18 @@ class SourceFrontend:
                     depth += opened
                     pending.clear()
                     continue
+                if ";" in code and ("DRX_REQUIRES" in joined
+                                    or "DRX_ACQUIRE" in joined):
+                    # Bodiless declaration with a lock contract: the
+                    # definition (usually in the .cpp) inherits it.
+                    sig = joined[:joined.rindex(";")].strip()
+                    sm = SIGNATURE_RE.match(sig)
+                    if sm:
+                        f = Function(name=(context_name() + "::"
+                                           + sm.group(1)).lstrip(":"),
+                                     file=rel, line=pending[0][0])
+                        _lock_contract(sig, f)
+                        facts.functions.append(f)
                 if ";" in code or stripped.endswith(("}", ":")):
                     pending.clear()
                 depth += code.count("{") - code.count("}")
@@ -330,7 +372,6 @@ class SourceFrontend:
                 # events do not pollute the parent.
                 lm = LAMBDA_RE.search(code)
                 if lm:
-                    lambda_counter += 1
                     lname = f"{fn.name}::<lambda@{line_no}>"
                     lf = Function(name=lname, file=rel, line=line_no,
                                   is_lambda=True,
@@ -342,8 +383,8 @@ class SourceFrontend:
                                     depth + pre.count("{") - pre.count("}"),
                                     lf)
                     scopes.append(lscope)
-                    rest = code[lm.end():]
-                    self._scan_events(rest, line_no, lf, lscope, depth + 1)
+                    self._scan_events(code[lm.end():], line_no, lf, lscope,
+                                      depth + 1, lm.end())
                     depth += code.count("{") - code.count("}")
                     close_dead_locks(line_no)
                     while scopes and scopes[-1].kind == "function" \
@@ -361,7 +402,9 @@ class SourceFrontend:
         return facts
 
     def _scan_events(self, code: str, line_no: int, fn: Function,
-                     scope: _Scope | None, depth: int) -> None:
+                     scope: _Scope | None, depth: int, col: int = 0) -> None:
+        """Events of one line segment; `col` is the segment's offset in
+        its line (a lambda's body starts mid-line)."""
         if fn is None or not code.strip():
             return
         ev = fn.events
@@ -425,11 +468,13 @@ class SourceFrontend:
 
         for m in CALL_RE.finditer(code):
             callee = re.sub(r"\s+", "", m.group(1))
-            base = callee.split("->")[-1].split(".")[-1].split("::")[-1]
+            base = callee_base(callee)
             if base in KEYWORDS or base.startswith("DRX_"):
                 continue
             ev.append(Event(CALL, self._typed_callee(callee, base),
-                            line_no, depth))
+                            line_no, depth,
+                            self._args(self.line_starts[line_no - 1]
+                                       + col + m.end())))
 
         for m in VALUE_MOVE_RE.finditer(code):
             ev.append(Event(VALUE_CALL, m.group(1), line_no, depth))
@@ -450,6 +495,32 @@ class SourceFrontend:
 
         for m in RETURN_NEG_RE.finditer(code):
             ev.append(Event(RETURN_INT, m.group(1), line_no, depth))
+
+    def _args(self, start: int) -> str:
+        """Argument text of the call whose `(` ends just before `start`:
+        up to the matching `)`, cut at the end of the line on which the
+        first argument ends (so a multi-line lambda body is left out)."""
+        text = self.text
+        end = min(len(text), start + MAX_ARGS_CHARS)
+        depth = 1
+        first_end = -1
+        i = start
+        while i < end:
+            c = text[i]
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif c == "," and depth == 1 and first_end < 0:
+                first_end = i
+            i += 1
+        if first_end >= 0:
+            eol = text.find("\n", first_end)
+            if 0 <= eol < i:
+                i = eol
+        return re.sub(r"\s+", " ", text[start:i]).strip()
 
     def _typed_callee(self, callee: str, base: str) -> str:
         """Rewrites `device.truncate` to `BlockDevice::truncate` when the

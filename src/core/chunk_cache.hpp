@@ -141,6 +141,12 @@ class ChunkCache final : public io::PrefetchSink {
   /// fast-path memcpy. Read-only pins (`writable == false`) leave the
   /// frame published. The default is writable (conservative: correct for
   /// every legacy caller); unpin() must be called with the same flag.
+  ///
+  /// Pins of one chunk do not exclude each other (the Mpool contract): a
+  /// writable pin keeps fast readers out, but not another pin() of the
+  /// same chunk. A caller that stores through a writable pin must itself
+  /// exclude every other pin of that chunk while it stores (drx::serve
+  /// does so with its structure lock; docs/SERVING.md "Pin contract").
   [[nodiscard]] Result<std::span<std::byte>> pin(std::uint64_t address,
                                    bool writable = true);
 
@@ -458,7 +464,7 @@ class ChunkCache final : public io::PrefetchSink {
   /// Interned per-shard access counters: core.cache.shard.<i>.accesses.
   std::vector<obs::MetricId> shard_access_ids_;
 
-  // drx-lint: allow(unannotated-mutex-member) serializes access to the
+  // drx-verify: allow(unannotated-mutex-member) serializes access to the
   // caller-owned DrxFile; there is no member field to annotate.
   util::Mutex io_mu_;  ///< serializes DrxFile storage access (leaf)
 

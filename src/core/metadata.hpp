@@ -105,7 +105,7 @@ struct Metadata {
   /// and capacity padding); the numerator of drx_inspect's ratio.
   [[nodiscard]] std::uint64_t stored_live_bytes() const;
 
-  /// The one sanctioned axial-vector mutation (scripts/lint_drx.py rule
+  /// The one sanctioned axial-vector mutation (scripts/drx_verify rule
   /// `axial-mutation`): grows dimension `dim` by `delta` elements,
   /// extending the chunk grid through the axial mapping when the new
   /// bounds spill past it. Returns the linear address of the first

@@ -231,7 +231,9 @@ Status Server::execute(Session& session, const Request& req,
       break;
     }
     case RequestType::kWrite: {
-      util::ReaderMutexLock lock(structure_mu_);
+      // Exclusive: pins of one chunk do not exclude each other
+      // (docs/SERVING.md "Pin contract").
+      util::WriterMutexLock lock(structure_mu_);
       st = check_in_bounds(*file_, req.box);
       if (st.is_ok()) {
         st = cached_.write_box(req.box, req.order,

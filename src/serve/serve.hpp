@@ -11,10 +11,13 @@
 // the shard mutexes.
 //
 // Concurrency model:
-//  - read / write / prefetch requests hold the structure lock SHARED:
-//    they may interleave freely (the sharded cache serializes per-chunk
-//    state; the storage layer is serialized by the cache's io mutex);
-//  - extend holds it EXCLUSIVE: the cache is flushed first (a barrier
+//  - read / prefetch requests hold the structure lock SHARED: they may
+//    interleave freely (the sharded cache serializes per-chunk state;
+//    the storage layer is serialized by the cache's io mutex);
+//  - write requests hold it EXCLUSIVE: cache pins of one chunk do not
+//    exclude each other, so a write must not copy through a chunk
+//    buffer that another request is copying through;
+//  - extend holds it EXCLUSIVE too: the cache is flushed first (a barrier
 //    that drains the cache pool), then the array grows — so no
 //    background fault or write-back can race the metadata mutation.
 //  - a serve job never submits to its own pool (the bounded queue would
@@ -172,9 +175,9 @@ class Server {
   core::DrxFile* file_;
   std::string name_;
   core::CachedDrxFile cached_;
-  // drx-lint: allow(unannotated-mutex-member) guards the array's
-  // structure (bounds/metadata owned by DrxFile, not a member here):
-  // shared for read/write/prefetch, exclusive for extend.
+  // drx-verify: allow(unannotated-mutex-member) guards the array's
+  // structure and chunk bytes (owned by DrxFile and the cache, not members
+  // here): shared for read/prefetch, exclusive for write and extend.
   util::SharedMutex structure_mu_;
   io::AsyncIoPool pool_;
   mutable util::Mutex mu_;

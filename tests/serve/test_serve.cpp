@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -118,10 +119,12 @@ TEST(Serve, ExtendGrowsTheArrayUnderConcurrentTraffic) {
   Session& admin = server.open_session();
 
   // Keep reads and writes in flight while the array grows; the structure
-  // lock must serialize the extend against all of them.
-  std::vector<std::byte> out(4 * kElem);
+  // lock must serialize the extend against all of them. Each read has its
+  // own destination: concurrent reads may run at once.
+  std::vector<std::vector<std::byte>> outs(8,
+                                           std::vector<std::byte>(4 * kElem));
   const Box small{Index{0, 0}, Index{2, 2}};
-  for (int i = 0; i < 8; ++i) {
+  for (auto& out : outs) {
     traffic.submit(write_req(small, {1, 2, 3, 4}), [](const Status& st) {
       EXPECT_TRUE(st.is_ok());
     });
@@ -145,6 +148,62 @@ TEST(Serve, ExtendGrowsTheArrayUnderConcurrentTraffic) {
   double v = 0;
   std::memcpy(&v, out2.data(), sizeof(v));
   EXPECT_EQ(v, 9.0);
+}
+
+// Requests are atomic to each other: sessions overwrite one 2x2-chunk
+// box, each write filled with its own version, while other sessions
+// read it back. Cache pins of one chunk do not exclude each other, so
+// only the server's structure lock keeps a read from seeing two versions
+// (or a write from interleaving with another in one chunk buffer).
+TEST(Serve, OverlappingWritesAndReadsSeeWholeRequests) {
+  constexpr std::uint64_t kSide = 128;  // 2x2 chunks of 64x64 doubles
+  DrxFile file = make_file(Shape{kSide, kSide}, Shape{kSide / 2, kSide / 2});
+  Server::Options options;
+  options.workers = 4;
+  Server server(file, options);
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 2;
+  constexpr int kRounds = 40;
+  constexpr std::size_t kCount = kSide * kSide;
+  std::vector<Session*> writers;
+  std::vector<Session*> readers;
+  for (int i = 0; i < kWriters; ++i) writers.push_back(&server.open_session());
+  for (int i = 0; i < kReaders; ++i) readers.push_back(&server.open_session());
+  const Box box{Index{0, 0}, Index{kSide, kSide}};
+
+  // A box holds one version iff every element equals the first.
+  auto one_version = [](const std::vector<std::byte>& bytes) {
+    std::vector<double> v(kCount);
+    std::memcpy(v.data(), bytes.data(), bytes.size());
+    for (double x : v) {
+      if (x != v[0]) return false;
+    }
+    return true;
+  };
+
+  std::vector<std::vector<std::byte>> outs(
+      kReaders, std::vector<std::byte>(kCount * kElem));
+  int torn = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::future<Status>> pending;
+    for (int w = 0; w < kWriters; ++w) {
+      const double version = static_cast<double>(1 + round * kWriters + w);
+      pending.push_back(writers[static_cast<std::size_t>(w)]->submit(
+          write_req(box, std::vector<double>(kCount, version))));
+    }
+    for (int r = 0; r < kReaders; ++r) {
+      pending.push_back(readers[static_cast<std::size_t>(r)]->submit(
+          read_req(box, outs[static_cast<std::size_t>(r)])));
+    }
+    for (auto& f : pending) ASSERT_TRUE(f.get().is_ok());
+    for (const auto& out : outs) torn += one_version(out) ? 0 : 1;
+  }
+  EXPECT_EQ(torn, 0) << "reads that saw more than one write version";
+
+  std::vector<std::byte> last(kCount * kElem);
+  ASSERT_TRUE(readers[0]->submit(read_req(box, last)).get().is_ok());
+  EXPECT_TRUE(one_version(last));
+  ASSERT_TRUE(server.flush().is_ok());
 }
 
 TEST(Serve, OutOfBoundsReadFailsTheFutureAndCountsAgainstTheSession) {

@@ -5,9 +5,10 @@ nothing else.
 The corpus under tests/verify/corpus/ is real, compiling C++ (built as
 an OBJECT library by tests/CMakeLists.txt); each file seeds a known
 defect class. This script pins the analyzer's recall (every seeded
-defect found, with exact per-file counts) and its precision (zero
-findings beyond the seeded ones), so a frontend or pass regression
-fails tier-1 immediately.
+defect found, with exact per-file counts), its precision (zero
+findings beyond the seeded ones) and its suppressions (each justified
+instance suppressed, with its reason), so a frontend, pass or rule
+regression fails tier-1 immediately.
 
 Usage: check_corpus.py [--root REPO_ROOT]
 """
@@ -30,6 +31,26 @@ EXPECTED = {
     ("blocking-under-lock",
      "tests/verify/corpus/shard_lock_discipline.cpp"): 1,
     ("lock-order", "tests/verify/corpus/shard_lock_discipline.cpp"): 1,
+    ("blocking-under-lock", "tests/verify/corpus/buffer_alloc.cpp"): 1,
+    ("raw-sync-primitive", "tests/verify/corpus/sync_primitives.cpp"): 1,
+    ("unannotated-mutex-member",
+     "tests/verify/corpus/sync_primitives.cpp"): 1,
+    ("hot-path-obs-guard", "tests/verify/corpus/call_rules.cpp"): 1,
+    ("axial-mutation", "tests/verify/corpus/call_rules.cpp"): 1,
+    ("pool-submit-opctx", "tests/verify/corpus/call_rules.cpp"): 2,
+    ("element-granular-copy", "tests/verify/corpus/copy_plan.cpp"): 1,
+}
+
+# (rule, file) -> exact count of justified suppressions in the corpus.
+EXPECTED_SUPPRESSED = {
+    ("blocking-under-lock", "tests/verify/corpus/buffer_alloc.cpp"): 1,
+    ("raw-sync-primitive", "tests/verify/corpus/sync_primitives.cpp"): 1,
+    ("unannotated-mutex-member",
+     "tests/verify/corpus/sync_primitives.cpp"): 1,
+    ("hot-path-obs-guard", "tests/verify/corpus/call_rules.cpp"): 1,
+    ("axial-mutation", "tests/verify/corpus/call_rules.cpp"): 1,
+    ("pool-submit-opctx", "tests/verify/corpus/call_rules.cpp"): 1,
+    ("element-granular-copy", "tests/verify/corpus/copy_plan.cpp"): 1,
 }
 
 
@@ -55,27 +76,38 @@ def main() -> int:
         payload = json.loads(out.read_text(encoding="utf-8"))
 
     got: dict = {}
-    for f in payload["findings"]:
-        if f["suppressed"]:
-            print(f"FAIL: corpus finding unexpectedly suppressed: {f}")
-            return 1
-        got[(f["rule"], f["file"])] = got.get((f["rule"], f["file"]), 0) + 1
-
+    got_suppressed: dict = {}
     failed = False
-    for key, want in sorted(EXPECTED.items()):
-        have = got.pop(key, 0)
-        status = "ok" if have == want else "FAIL"
-        if have != want:
+    for f in payload["findings"]:
+        key = (f["rule"], f["file"])
+        if f["suppressed"]:
+            got_suppressed[key] = got_suppressed.get(key, 0) + 1
+            if not f["suppress_reason"]:
+                failed = True
+                print(f"FAIL: suppression without a reason: {f}")
+        else:
+            got[key] = got.get(key, 0) + 1
+
+    for label, expected, have_map in (("", EXPECTED, got),
+                                      ("suppressed ", EXPECTED_SUPPRESSED,
+                                       got_suppressed)):
+        for key, want in sorted(expected.items()):
+            have = have_map.pop(key, 0)
+            status = "ok" if have == want else "FAIL"
+            if have != want:
+                failed = True
+            print(f"{status}: {key[1]} [{key[0]}] {label}expected {want}, "
+                  f"got {have}")
+        for key, have in sorted(have_map.items()):
             failed = True
-        print(f"{status}: {key[1]} [{key[0]}] expected {want}, got {have}")
-    for key, have in sorted(got.items()):
-        failed = True
-        print(f"FAIL: unexpected finding(s): {key[1]} [{key[0]}] x{have}")
+            print(f"FAIL: unexpected {label}finding(s): {key[1]} "
+                  f"[{key[0]}] x{have}")
 
     if failed:
         return 1
     print(f"corpus gate: all {sum(EXPECTED.values())} seeded defects "
-          f"flagged, no extras")
+          f"flagged, {sum(EXPECTED_SUPPRESSED.values())} justified sites "
+          f"suppressed, no extras")
     return 0
 
 

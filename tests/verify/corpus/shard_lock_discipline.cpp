@@ -45,6 +45,7 @@ class MiniCache {
  private:
   struct Shard {
     util::Mutex mu;
+    long faults DRX_GUARDED_BY(mu) = 0;
   };
   Shard shards_[2];
   MiniFile* file_ = nullptr;
